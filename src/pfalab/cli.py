@@ -1,7 +1,7 @@
 """Command-line front end: table analysis, seeded runs, attack, costs.
 
-Exit codes: 0 on success, 1 on a configuration or input error, 2 when
-a --check verification fails.
+Exit codes: 0 on success, 1 on a configuration, input or file error, 2
+when a --check verification fails.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ def _cmd_attack(args) -> int:
             raise ValueError("--search excludes --v/--v-star")
     elif args.v is None or args.v_star is None:
         raise ValueError("give either --search or both --v and --v-star")
+    for flag, value in (("--v", args.v), ("--v-star", args.v_star)):
+        if value is not None and not 0 <= value <= 0xFF:
+            raise ValueError(f"{flag} must be a table index in 0..255, "
+                             f"got {value}")
     blocks = _read_blocks(args.ciphertexts)
     stream = blocks[blocks.any(axis=1)] if args.zco_filter else blocks
     hist = accumulate(stream)
@@ -211,7 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -16,6 +16,7 @@ the config; nothing time- or host-dependent is written.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -245,22 +246,14 @@ def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
     raise ConfigError(f"unknown implementation {impl!r}")
 
 
-_PAIR = None
-_TABLES = None
-
-
+@functools.cache
 def _detection_pair():
-    global _PAIR
-    if _PAIR is None:
-        _PAIR = build_detection_pair(AES_SBOX)
-    return _PAIR
+    return build_detection_pair(AES_SBOX)
 
 
+@functools.cache
 def _redundant_tables():
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = build_redundant_tables(AES_SBOX)
-    return _TABLES
+    return build_redundant_tables(AES_SBOX)
 
 
 def _curve_rows(public: np.ndarray, positions, grid_step: int) -> list:

@@ -1,11 +1,14 @@
 """Deterministic randomness for reproducible experiments.
 
-Every random draw in the package flows through :class:`Rng`, a
-xoshiro256** generator seeded through splitmix64.  The generator is
-implemented here rather than taken from ``random`` or ``numpy.random``
-because stored run records promise byte-exact replay: the bit stream
-must be pinned by this package alone, not by whichever library version
-happens to be installed.
+Every random draw in the package flows through :class:`Rng`, SplitMix64
+in counter mode (Steele, Lea & Flood, OOPSLA 2014): word i of the stream
+seeded with s is the SplitMix64 mix of s + (i + 1) * 0x9E3779B97F4A7C15,
+exactly the standard SplitMix64 sequence.  A word depends on its index
+alone, so a bulk request is computed at once in numpy uint64 arithmetic
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+The generator lives here rather than in ``random`` or ``numpy.random``
+because run records promise byte-exact replay: the bit stream must be
+pinned by this package alone, not by an installed library version.
 
 Substreams are derived from (seed, labels) pairs, never by splitting
 generator state, so the stream consumed for key material does not shift
@@ -14,17 +17,19 @@ when an unrelated part of the code draws more or fewer bytes.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 # Stored in run records so a replay can refuse to proceed if the
 # generator ever changes incompatibly.
-RNG_ALGORITHM = "xoshiro256**/splitmix64-v1"
+RNG_ALGORITHM = "splitmix64-ctr-v2"
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    state = (state + GAMMA) & MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return state, z ^ (z >> 31)
 
@@ -49,25 +54,14 @@ def derive_seed(seed: int, *labels: object) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 class Rng:
-    """xoshiro256** with label-derived substreams."""
+    """Counter-mode SplitMix64; its state is (seed, words used so far)."""
 
-    __slots__ = ("seed", "_s")
+    __slots__ = ("seed", "_used")
 
     def __init__(self, seed: int):
         self.seed = seed & MASK64
-        state = self.seed
-        s = []
-        for _ in range(4):
-            state, out = _splitmix64(state)
-            s.append(out)
-        if not any(s):  # all-zero state would be a fixed point
-            s[0] = 1
-        self._s = s
+        self._used = 0
 
     def child(self, *labels: object) -> "Rng":
         """Independent generator for a labelled sub-task.
@@ -77,18 +71,22 @@ class Rng:
         """
         return Rng(derive_seed(self.seed, *labels))
 
+    def _words(self, n: int) -> np.ndarray:
+        """The next n words, as u64() would give them, in one array."""
+        z = np.arange(self._used + 1, self._used + n + 1, dtype=np.uint64)
+        z = z * GAMMA + self.seed
+        self._used += n
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
+
     def u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        _, out = _splitmix64(self.seed + self._used * GAMMA)
+        self._used += 1
+        return out
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection from the top 64 bits."""
@@ -104,10 +102,11 @@ class Rng:
         return self.u64() & 0xFF
 
     def randbytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += self.u64().to_bytes(8, "little")
-        return bytes(out[:n])
+        """n bytes: the little-endian bytes of the next ceil(n/8) words."""
+        if n < 0:
+            raise ValueError("randbytes length must not be negative")
+        words = self._words(-(-n // 8)).astype("<u8", copy=False)
+        return words.tobytes()[:n]
 
     def sample_distinct(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n), in draw order."""

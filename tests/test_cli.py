@@ -112,3 +112,35 @@ def test_attack_rejects_bad_hex(tmp_path, capsys):
     assert main(["attack", str(bad), "--v", "1", "--v-star", "2"]) == 1
     err = capsys.readouterr().err
     assert "bad.txt:1" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--v", "-1"), ("--v", "0x100"),
+                                        ("--v-star", "-1"),
+                                        ("--v-star", "0x100")])
+def test_attack_rejects_out_of_range_index(stream_file, capsys, flag, value):
+    path, _ = stream_file
+    args = {"--v": "0x42", "--v-star": "0x52", flag: value}
+    argv = ["attack", str(path)] + [x for kv in args.items() for x in kv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_attack_missing_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["attack", str(missing), "--search"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing.txt" in err
+
+
+def test_run_unwritable_out_is_an_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", "--impl", "ori", "--n", "100", "--trials", "1",
+                 "--out", str(blocker / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -58,7 +58,7 @@ def test_config_derivations():
     d = small().to_json_dict()
     assert d["scenario"] == "single_fault"
     assert d["curve_positions"] == [0]
-    assert d["rng_algorithm"].startswith("xoshiro256")
+    assert d["rng_algorithm"].startswith("splitmix64-ctr")
 
 
 def test_runs_are_deterministic():

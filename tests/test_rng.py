@@ -1,3 +1,5 @@
+import numpy as np
+
 from pfalab.rng import RNG_ALGORITHM, Rng, derive_seed
 
 
@@ -14,7 +16,30 @@ def test_different_seeds_differ():
 
 
 def test_algorithm_identifier_is_pinned():
-    assert RNG_ALGORITHM == "xoshiro256**/splitmix64-v1"
+    assert RNG_ALGORITHM == "splitmix64-ctr-v2"
+
+
+def test_seed_zero_matches_published_splitmix64():
+    rng = Rng(0)
+    assert [rng.u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_randbytes_is_little_endian_words():
+    for seed in (0, 5, (1 << 64) - 1):
+        scalar = Rng(seed)
+        expected = np.array([scalar.u64() for _ in range(37)], dtype="<u8")
+        assert Rng(seed).randbytes(8 * 37) == expected.tobytes()
+
+
+def test_bulk_draw_matches_split_draws():
+    # The batched RCO defense draws 16*k bytes where the scalar one draws
+    # 16 bytes k times; both must consume the same words.
+    bulk = Rng(55)
+    split = Rng(55)
+    assert bulk.randbytes(16 * 300) == b"".join(
+        split.randbytes(16) for _ in range(300))
+    assert bulk.u64() == split.u64()
 
 
 def test_derive_seed_label_sensitivity():
