@@ -114,6 +114,9 @@ def _cmd_attack(args) -> int:
         if value is not None and not 0 <= value <= 0xFF:
             raise ValueError(f"{flag} must be a table index in 0..255, "
                              f"got {value}")
+    if args.gap_threshold < 1:
+        raise ValueError("--gap-threshold must be at least 1, "
+                         f"got {args.gap_threshold}")
     blocks = _read_blocks(args.ciphertexts)
     stream = blocks[blocks.any(axis=1)] if args.zco_filter else blocks
     hist = accumulate(stream)
@@ -130,6 +133,8 @@ def _cmd_attack(args) -> int:
     recovery = recover_key_maxmin(hist, v, v_star,
                                   gap_threshold=args.gap_threshold)
     output.update(recovery.to_json_dict())
+    output["confident"] = list(recovery.confident)
+    output["gap_threshold"] = recovery.gap_threshold
     if args.true_k10 is not None:
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
             blocks, block_from_hex(args.true_k10), v, v_star,

@@ -10,9 +10,11 @@ The guard runs before each encryption:
 
 2. correct: if detection fires, rebuild entries by majority vote over
    the four neighbour reconstructions offered by the parity tables.
-   One sweep repairs any entry that still has at least two sound
-   votes; denser damage is peeled from the outside in over repeated
-   sweeps.
+   Each is the entry XOR the syndrome of one of its grid edges (the
+   edge's two entries XOR their parity), nonzero only where that check
+   fails, so an entry on passing edges only is a fixed point, skipped.
+   One sweep repairs any entry that still has at least two sound votes;
+   denser damage is peeled from the outside in over repeated sweeps.
 
 Both steps operate on a working copy; the persistent (possibly faulted)
 storage is never written, mirroring a device that refreshes its RAM
@@ -27,13 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aes import CipherOptions, DEFAULT_OPTIONS, encrypt
-from .sbox import SBoxTable, down, left, neighbors, right, up
+from .sbox import SBoxTable, down, left, right, up
 from .sbox_analysis import DetectionPair, RedundantTables
 
-_UP = np.array([up(x) for x in range(256)], dtype=np.intp)
-_DOWN = np.array([down(x) for x in range(256)], dtype=np.intp)
-_LEFT = np.array([left(x) for x in range(256)], dtype=np.intp)
-_RIGHT = np.array([right(x) for x in range(256)], dtype=np.intp)
+# Parity checks as grid edges, the v edges (x, down(x)) then the h edges
+# (x, right(x)); _INCIDENT holds each entry's edges in candidate order.
+_EDGES = np.array([(x, down(x)) for x in range(256)]
+                  + [(x, right(x)) for x in range(256)]).T
+_INCIDENT = np.array([(up(x), x, 256 + left(x), 256 + x)
+                      for x in range(256)])
 
 
 FULL_TABLE = "full_table"
@@ -117,30 +121,30 @@ def vote(candidates: tuple[int, ...], current: int) -> tuple[int, bool]:
     return current, False
 
 
-def _sweep(entries: np.ndarray, h: np.ndarray, v: np.ndarray):
-    """One simultaneous vote over all entries.
+# vote() by the number of agreeing candidate pairs: 1 (2-1-1), 3 (3-1)
+# and 6 (4-0) leave one majority; 0 and 2 (2-2) do not; 4 and 5 cannot.
+_PAIR_I, _PAIR_J = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+_RESOLVED_BY_AGREEING_PAIRS = np.array([0, 1, 0, 1, 0, 0, 1], dtype=bool)
 
-    Returns (new entries, changed mask, unresolved mask).  All votes
-    read the same snapshot, so sweep results do not depend on entry
-    order.
+
+def _sweep(entries: np.ndarray, tables: RedundantTables):
+    """One simultaneous vote over the entries on a failing parity check.
+
+    Candidates are the entry XOR the syndromes of its four edges, so an
+    entry on passing edges only votes 4-of-4 for itself and is skipped.
+    Returns the voted indices (ascending), winners and resolved mask.
     """
-    cand = np.stack((
-        entries[_UP] ^ v[_UP],
-        entries[_DOWN] ^ v,
-        entries[_LEFT] ^ h[_LEFT],
-        entries[_RIGHT] ^ h,
-    ))
-    counts = np.ones((4, 256), dtype=np.int8)
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                counts[i] += cand[i] == cand[j]
-    top = counts.max(axis=0)
-    pairs = (counts == 2).sum(axis=0)
-    resolved = (top >= 3) | ((top == 2) & (pairs == 2))
-    winner = np.take_along_axis(cand, counts.argmax(axis=0)[None, :], axis=0)[0]
-    new = np.where(resolved, winner, entries)
-    return new, resolved & (new != entries), ~resolved
+    ends = entries[_EDGES]
+    parity = np.frombuffer(tables.v + tables.h, dtype=np.uint8)
+    syndromes = (ends[0] ^ ends[1] ^ parity)[_INCIDENT]
+    # An entry's four syndrome bytes read as one word: nonzero iff active.
+    active = np.flatnonzero(syndromes.view(np.uint32))
+    syndromes = syndromes[active]
+    agree = syndromes[:, _PAIR_I] == syndromes[:, _PAIR_J]
+    # Every agreeing pair of a resolved vote lies in its majority.
+    winner = syndromes[np.arange(active.size), _PAIR_I[agree.argmax(axis=1)]]
+    return (active, entries[active] ^ winner,
+            _RESOLVED_BY_AGREEING_PAIRS[agree.sum(axis=1)])
 
 
 @dataclass(frozen=True)
@@ -183,42 +187,38 @@ def correct(
     scope only the given indices may be rewritten; the vote still reads
     the whole table.
     """
-    if cfg.scope == SINGLE_ENTRY and indices is None:
-        raise ValueError("single_entry scope needs explicit indices")
-    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
-    h = np.frombuffer(tables.h, dtype=np.uint8)
-    v = np.frombuffer(tables.v, dtype=np.uint8)
-    allowed = None
+    allowed = np.full(256, cfg.scope == FULL_TABLE)
     if cfg.scope == SINGLE_ENTRY:
-        allowed = np.zeros(256, dtype=bool)
-        allowed[list(indices)] = True
+        if indices is None:
+            raise ValueError("single_entry scope needs explicit indices")
+        indices = list(indices)
+        if not all(0 <= x <= 255 for x in indices):
+            raise ValueError(f"indices must lie in 0..255, got {indices}")
+        allowed[indices] = True
+    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
     changed_entries: list[tuple[int, int, int]] = []
     rounds_used = 0
-    for _ in range(cfg.max_correction_rounds):
-        working = SBoxTable(entries.tobytes())
-        if not detect(working, pair, cfg.use_second_checkpoint):
+    while True:
+        converged = not detect(SBoxTable(entries.tobytes()), pair,
+                               cfg.use_second_checkpoint)
+        if converged or rounds_used == cfg.max_correction_rounds:
             break
-        new, changed, _ = _sweep(entries, h, v)
-        if allowed is not None:
-            new = np.where(allowed, new, entries)
-            changed &= allowed
+        active, winner, resolved = _sweep(entries, tables)
+        write = resolved & (winner != entries[active]) & allowed[active]
         rounds_used += 1
-        for x in np.flatnonzero(changed):
-            changed_entries.append((int(x), int(entries[x]), int(new[x])))
-        if not changed.any():
-            break
-        entries = new
-    final = SBoxTable(entries.tobytes())
+        if not write.any():
+            break  # the entries stand as detect just rejected them
+        cells = active[write]
+        changed_entries += zip(cells.tolist(), entries[cells].tolist(),
+                               winner[write].tolist())
+        entries[cells] = winner[write]
     # Unresolved is assessed on the final state so that converged
     # (clean detect) always implies an empty list.
-    _, _, unresolved_mask = _sweep(entries, h, v)
-    report = CorrectionReport(
-        converged=not detect(final, pair, cfg.use_second_checkpoint),
-        rounds_used=rounds_used,
+    active, _, resolved = _sweep(entries, tables)
+    return SBoxTable(entries.tobytes()), CorrectionReport(
+        converged=converged, rounds_used=rounds_used,
         changed_entries=tuple(changed_entries),
-        unresolved=tuple(int(i) for i in np.flatnonzero(unresolved_mask)),
-    )
-    return final, report
+        unresolved=tuple(active[~resolved].tolist()))
 
 
 def precorrect_lookup(table: SBoxTable, tables: RedundantTables, x: int) -> int:
@@ -234,11 +234,10 @@ def precorrect_lookup(table: SBoxTable, tables: RedundantTables, x: int) -> int:
 
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     """All 256 voted lookups as an effective table (one vote sweep)."""
-    entries = np.frombuffer(table.entries, dtype=np.uint8)
-    h = np.frombuffer(tables.h, dtype=np.uint8)
-    v = np.frombuffer(tables.v, dtype=np.uint8)
-    new, _, _ = _sweep(entries, h, v)
-    return SBoxTable(new.tobytes())
+    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
+    active, winner, resolved = _sweep(entries, tables)
+    entries[active[resolved]] = winner[resolved]
+    return SBoxTable(entries.tobytes())
 
 
 @dataclass(frozen=True)

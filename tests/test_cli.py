@@ -128,6 +128,32 @@ def test_attack_rejects_out_of_range_index(stream_file, capsys, flag, value):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_attack_rejects_gap_threshold_below_one(stream_file, capsys, value):
+    path, _ = stream_file
+    argv = ["attack", str(path), "--search", "--gap-threshold", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --gap-threshold")
+    assert captured.err.count("\n") == 1
+
+
+def test_attack_reports_gap_threshold(stream_file, capsys):
+    path, _ = stream_file
+    argv = ["attack", str(path), "--v", "0x42",
+            "--v-star", hex(AES_INV_SBOX[0x00])]
+    assert main(argv) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert default["gap_threshold"] == 5
+    assert default["confident"] == [True] * 16
+    assert main(argv + ["--gap-threshold", "9999"]) == 0
+    strict = json.loads(capsys.readouterr().out)
+    assert strict["gap_threshold"] == 9999
+    assert strict["confident"] == [False] * 16
+    assert strict["k10"] == default["k10"]
+
+
 def test_attack_missing_file_is_an_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["attack", str(missing), "--search"]) == 1

@@ -1,7 +1,15 @@
+import numpy as np
 import pytest
 
 from pfalab.aes import BLOCK_SIZE, encrypt, key_expand
-from pfalab.faults import FaultSpec, inject, random_faults
+from pfalab.faults import (
+    BIT_FLIP,
+    CLUSTERED,
+    RANDOM_BYTE,
+    FaultSpec,
+    inject,
+    random_faults,
+)
 from pfalab.guard import (
     FULL_TABLE,
     SINGLE_ENTRY,
@@ -16,7 +24,7 @@ from pfalab.guard import (
     vote,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, down, right
+from pfalab.sbox import AES_SBOX, SBoxTable, down, left, right, up
 
 
 def test_detect_pristine_table_is_quiet(pair):
@@ -125,6 +133,17 @@ def test_single_entry_scope(pair, tables):
     assert not report.converged  # the other fault still trips detection
 
 
+@pytest.mark.parametrize("bad", [(-1,), (256,), (0x42, 300)])
+def test_single_entry_scope_rejects_out_of_range_indices(pair, tables, bad):
+    faulted = inject(AES_SBOX, FaultSpec(((0xFF, 0x00),)))
+    cfg = GuardConfig(scope=SINGLE_ENTRY)
+    with pytest.raises(ValueError, match=r"0\.\.255"):
+        correct(faulted, tables, pair, cfg, indices=bad)
+    fixed, report = correct(faulted, tables, pair, cfg, indices=(0, 0xFF))
+    assert fixed == AES_SBOX
+    assert report.converged
+
+
 def test_correction_report_json_shape():
     report = CorrectionReport(converged=True, rounds_used=1,
                               changed_entries=((7, 1, 2),),
@@ -177,3 +196,113 @@ def test_dc_encrypt_repairs_then_encrypts(pair, tables):
     assert result.report.converged
     assert result.table == AES_SBOX
     assert result.ciphertext == encrypt(pt, rk)
+
+
+# Reference sweep for the oracle test: every entry builds its four
+# candidates from the neighbours directly and votes, with no syndromes.
+_UP = np.array([up(x) for x in range(256)], dtype=np.intp)
+_DOWN = np.array([down(x) for x in range(256)], dtype=np.intp)
+_LEFT = np.array([left(x) for x in range(256)], dtype=np.intp)
+_RIGHT = np.array([right(x) for x in range(256)], dtype=np.intp)
+
+
+def _dense_sweep(entries, h, v):
+    cand = np.stack((
+        entries[_UP] ^ v[_UP],
+        entries[_DOWN] ^ v,
+        entries[_LEFT] ^ h[_LEFT],
+        entries[_RIGHT] ^ h,
+    ))
+    counts = np.ones((4, 256), dtype=np.int8)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                counts[i] += cand[i] == cand[j]
+    top = counts.max(axis=0)
+    pairs = (counts == 2).sum(axis=0)
+    resolved = (top >= 3) | ((top == 2) & (pairs == 2))
+    winner = np.take_along_axis(cand, counts.argmax(axis=0)[None, :], axis=0)[0]
+    new = np.where(resolved, winner, entries)
+    return new, resolved & (new != entries), ~resolved
+
+
+def _oracle_correct(table, tables, pair, cfg, indices):
+    """correct() over _dense_sweep, plus the snapshot each write read."""
+    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
+    h = np.frombuffer(tables.h, dtype=np.uint8)
+    v = np.frombuffer(tables.v, dtype=np.uint8)
+    allowed = None
+    if cfg.scope == SINGLE_ENTRY:
+        allowed = np.zeros(256, dtype=bool)
+        allowed[list(indices)] = True
+    changed_entries, snapshots = [], []
+    rounds_used = 0
+    for _ in range(cfg.max_correction_rounds):
+        working = SBoxTable(entries.tobytes())
+        if not detect(working, pair, cfg.use_second_checkpoint):
+            break
+        new, changed, _ = _dense_sweep(entries, h, v)
+        if allowed is not None:
+            new = np.where(allowed, new, entries)
+            changed &= allowed
+        rounds_used += 1
+        for x in np.flatnonzero(changed):
+            changed_entries.append((int(x), int(entries[x]), int(new[x])))
+            snapshots.append(working)
+        if not changed.any():
+            break
+        entries = new
+    final = SBoxTable(entries.tobytes())
+    _, _, unresolved_mask = _dense_sweep(entries, h, v)
+    report = CorrectionReport(
+        converged=not detect(final, pair, cfg.use_second_checkpoint),
+        rounds_used=rounds_used,
+        changed_entries=tuple(changed_entries),
+        unresolved=tuple(int(i) for i in np.flatnonzero(unresolved_mask)),
+    )
+    return final, report, snapshots
+
+
+def _on_failing_edge(table, tables, x):
+    """Whether any of the parity checks that read entry x fails."""
+    return any(table[a] ^ table[b] != parity for a, b, parity in (
+        (up(x), x, tables.v[up(x)]), (x, down(x), tables.v[x]),
+        (left(x), x, tables.h[left(x)]), (x, right(x), tables.h[x])))
+
+
+def _oracle_cases():
+    """200 scattered and clustered fault sets of 2 to 255 entries, each
+    with a set of indices for single_entry scope."""
+    rng = Rng(18)
+    for k in (2, 9, 25, 64, 255):
+        for i in range(40):
+            if i % 2:
+                policy = (RANDOM_BYTE, BIT_FLIP)[i // 2 % 2]
+                spec = random_faults(rng.child(rng.u64()), k, CLUSTERED,
+                                     policy)
+            else:
+                spec = FaultSpec(tuple(
+                    (x, AES_SBOX[x] ^ (1 + rng.randrange(255)))
+                    for x in rng.sample_distinct(256, k)))
+            indices = rng.sample_distinct(256, 1 + rng.randrange(64))
+            yield i, inject(AES_SBOX, spec), indices
+
+
+def test_syndrome_sweep_matches_dense_oracle(pair, tables):
+    h = np.frombuffer(tables.h, dtype=np.uint8)
+    v = np.frombuffer(tables.v, dtype=np.uint8)
+    for i, faulted, indices in _oracle_cases():
+        dense, _, _ = _dense_sweep(
+            np.frombuffer(faulted.entries, dtype=np.uint8), h, v)
+        assert precorrect_table(faulted, tables).entries == dense.tobytes()
+        rounds, second = (1, 2, 16)[i % 3], i % 4 < 2
+        for cfg in (GuardConfig(rounds, FULL_TABLE, second),
+                    GuardConfig(rounds, SINGLE_ENTRY, second)):
+            fixed, report = correct(faulted, tables, pair, cfg, indices)
+            want_fixed, want, snapshots = _oracle_correct(
+                faulted, tables, pair, cfg, indices)
+            assert (fixed, report) == (want_fixed, want)
+            for (x, _, _), snapshot in zip(report.changed_entries, snapshots):
+                assert _on_failing_edge(snapshot, tables, x)
+            for x in report.unresolved:
+                assert _on_failing_edge(fixed, tables, x)
