@@ -19,7 +19,7 @@ the unique-zero gate virtually never fires at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,6 +120,13 @@ class KeyRecoveryResult:
         }
 
 
+def _check_indices(**indices: int) -> None:
+    for name, value in indices.items():
+        if not 0 <= value <= 0xFF:
+            raise ValueError(f"{name} must be a table index in 0..255, "
+                             f"got {value}")
+
+
 def recover_key_maxmin(
     hist: CiphertextHistogram,
     v: int,
@@ -138,6 +145,7 @@ def recover_key_maxmin(
     unique zero identifies the key long before the maximum separates
     from the pack, and on a uniform stream the zero gate stays shut.
     """
+    _check_indices(v=v, v_star=v_star)
     if v == v_star:
         raise ValueError("v and v_star must differ")
     recovered = []
@@ -184,6 +192,7 @@ def eliminate_candidates(
     observed.  With the full distribution in hand exactly the true byte
     survives.
     """
+    _check_indices(v=v)
     survivors = []
     for j in range(BLOCK_SIZE):
         observed = np.flatnonzero(hist.counts[j] >= threshold)
@@ -194,14 +203,24 @@ def eliminate_candidates(
 
 @dataclass(frozen=True)
 class FaultSearchResult:
-    """Ranked (v, v*) hypotheses with their cross-position scores."""
+    """Scores of every (v, v*) hypothesis and the first best pair.
 
-    ranked: tuple
+    scores[v, v*] is the number of positions the pair explains, with -1
+    on the diagonal (v == v* is no fault).  best is the first pair at
+    top_score in row-major order, so v is the smallest index in the
+    winning class S[v] XOR S[v*]; for a bijective table every index
+    meets every class, so v is always 0 there.
+    """
+
+    best: tuple[int, int]
     top_score: int
     inconclusive: bool
+    scores: np.ndarray = field(repr=False, compare=False)
 
-    def top_group(self) -> list:
-        return [(v, vs) for v, vs, s in self.ranked if s == self.top_score]
+    def top_group(self) -> list[tuple[int, int]]:
+        """All pairs tied at top_score, in row-major order."""
+        pairs = np.argwhere(self.scores == self.top_score).tolist()
+        return list(map(tuple, pairs))
 
 
 def search_fault_values(
@@ -213,30 +232,27 @@ def search_fault_values(
 
     A hypothesis scores one point per position where c_min XOR S[v]
     equals c_max XOR S[v*].  The score depends on the pair only through
-    S[v] XOR S[v*], so whole classes of hypotheses tie; the planted pair
-    sits in the top group rather than strictly first.  Scores below
-    inconclusive_below (out of 16) mean no hypothesis explains the
-    histogram and the stream is probably not single-faulted.
+    the class S[v] XOR S[v*], so whole classes tie: the planted pair
+    sits in the top group rather than strictly first, and a key
+    recovered with best is right only up to the byte offset
+    S[best v] XOR S[planted v].  Scores below inconclusive_below (out
+    of 16) mean no hypothesis explains the histogram and the stream is
+    probably not single-faulted.
     """
-    diffs = np.zeros(BLOCK_SIZE, dtype=np.int64)
-    for j in range(BLOCK_SIZE):
-        counts = hist.counts[j]
-        diffs[j] = int(counts.argmin()) ^ int(counts.argmax())
-    score_by_diff = np.bincount(diffs, minlength=256)
+    diffs = hist.counts.argmin(axis=1) ^ hist.counts.argmax(axis=1)
+    # Scores are at most 16; int8 keeps the (256, 256) matrix in cache.
+    score_by_diff = np.bincount(diffs, minlength=256).astype(np.int8)
     entries = np.frombuffer(sbox.entries, dtype=np.uint8)
-    ranked = []
-    for v in range(256):
-        for v_star in range(256):
-            if v_star == v:
-                continue
-            score = int(score_by_diff[entries[v] ^ entries[v_star]])
-            ranked.append((v, v_star, score))
-    ranked.sort(key=lambda item: (-item[2], item[0], item[1]))
-    top_score = ranked[0][2] if ranked else 0
+    scores = score_by_diff.take(entries[:, None] ^ entries[None, :])
+    np.fill_diagonal(scores, -1)
+    scores.flags.writeable = False
+    v, v_star = divmod(int(scores.argmax()), 256)
+    top_score = int(scores[v, v_star])
     return FaultSearchResult(
-        ranked=tuple(ranked),
+        best=(v, v_star),
         top_score=top_score,
         inconclusive=top_score < inconclusive_below,
+        scores=scores,
     )
 
 
@@ -264,6 +280,10 @@ def min_ciphertexts_to_recover(
     moments are functions of each value's first occurrence, so one pass
     suffices.
     """
+    _check_indices(v=v, v_star=v_star)
+    if len(true_round10_key) != BLOCK_SIZE:
+        raise ValueError(f"expected a {BLOCK_SIZE}-byte round-10 key, "
+                         f"got {len(true_round10_key)} bytes")
     blocks = np.asarray(ciphertexts, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
         raise ValueError("expected an (n, 16) array of blocks")

@@ -89,19 +89,27 @@ def _cmd_run(args) -> int:
 
 
 def _read_blocks(path: str) -> np.ndarray:
-    blocks = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            blocks.append(block_from_hex(text))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if not blocks:
+    lines = Path(path).read_text().splitlines()
+    texts = [text for text in map(str.strip, lines) if text]
+    if not texts:
         raise ValueError(f"{path}: no ciphertext blocks")
-    joined = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    return joined.reshape(len(blocks), BLOCK_SIZE)
+    joined = "".join(texts)
+    try:
+        data = bytes.fromhex(joined)
+    except ValueError:
+        data = b""
+    # fromhex also takes uppercase digits and inner spaces; the round
+    # trip back to text admits only lowercase hex digits.
+    if data.hex() != joined or set(map(len, texts)) != {2 * BLOCK_SIZE}:
+        for line_no, line in enumerate(lines, 1):
+            text = line.strip()
+            if text:
+                try:
+                    block_from_hex(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    blocks = np.frombuffer(data, dtype=np.uint8)
+    return blocks.reshape(len(texts), BLOCK_SIZE)
 
 
 def _cmd_attack(args) -> int:
@@ -123,10 +131,12 @@ def _cmd_attack(args) -> int:
     output = {}
     if args.search:
         found = search_fault_values(hist)
-        v, v_star, _ = found.ranked[0]
+        v, v_star = found.best
         output["search"] = {
             "top_score": found.top_score,
             "inconclusive": found.inconclusive,
+            "difference": AES_SBOX[v] ^ AES_SBOX[v_star],
+            "candidates": len(found.top_group()),
         }
     else:
         v, v_star = args.v, args.v_star

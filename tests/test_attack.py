@@ -138,6 +138,111 @@ def test_search_is_inconclusive_on_uniform_stream():
     assert found.top_score < 12
 
 
+def _ranked_by_tuple_sort(hist, sbox):
+    """The reference ranker: every (v, v*, score) sorted by (-score, v, v*)."""
+    diffs = np.zeros(BLOCK_SIZE, dtype=np.int64)
+    for j in range(BLOCK_SIZE):
+        counts = hist.counts[j]
+        diffs[j] = int(counts.argmin()) ^ int(counts.argmax())
+    score_by_diff = np.bincount(diffs, minlength=256)
+    entries = np.frombuffer(sbox.entries, dtype=np.uint8)
+    ranked = []
+    for v in range(256):
+        for v_star in range(256):
+            if v_star == v:
+                continue
+            score = int(score_by_diff[entries[v] ^ entries[v_star]])
+            ranked.append((v, v_star, score))
+    ranked.sort(key=lambda item: (-item[2], item[0], item[1]))
+    return ranked
+
+
+def _histogram(counts):
+    hist = CiphertextHistogram()
+    hist.counts = counts
+    hist.n = int(counts[0].sum())
+    return hist
+
+
+def _search_oracle_histograms():
+    rng = np.random.default_rng(20240601)
+    yield _histogram(np.zeros((BLOCK_SIZE, 256), dtype=np.int64))
+    for high in (60, 3):  # uniform, then tie-heavy (counts 0..2)
+        for _ in range(2):
+            yield _histogram(rng.integers(0, high, (BLOCK_SIZE, 256)))
+    for seed, n in ((81, 900), (82, 4000)):
+        yield accumulate(faulted_stream(seed, n, fault=(0x42, 0x07))[0])
+    # Exactly `agree` positions in one class, the rest in other classes,
+    # so the top score lands on either side of the inconclusive bound.
+    for agree in (11, 12, 13):
+        counts = np.ones((BLOCK_SIZE, 256), dtype=np.int64)
+        diffs = [0x5A] * agree + list(range(1, 1 + BLOCK_SIZE - agree))
+        for j, diff in enumerate(diffs):
+            low = int(rng.integers(0, 256))
+            counts[j, low] = 0
+            counts[j, low ^ diff] = 9
+        yield _histogram(counts)
+
+
+SEARCH_TABLES = (
+    AES_SBOX,
+    inject(AES_SBOX, FaultSpec(((0x42, 0x07),))),
+    inject(AES_SBOX, FaultSpec(((0x00, 0x7C), (0x10, 0x01)))),
+)
+
+
+@pytest.mark.parametrize("table", SEARCH_TABLES,
+                         ids=["bijective", "one-fault", "two-fault"])
+def test_search_matches_tuple_sort_reference(table):
+    for hist in _search_oracle_histograms():
+        ranked = _ranked_by_tuple_sort(hist, table)
+        found = search_fault_values(hist, table)
+        v, v_star, top = ranked[0]
+        assert found.best == (v, v_star)
+        assert found.top_score == top
+        assert found.inconclusive == (top < 12)
+        assert found.top_group() == [(a, b) for a, b, s in ranked
+                                     if s == top]
+        pairs = np.array(ranked)
+        assert (found.scores[pairs[:, 0], pairs[:, 1]] == pairs[:, 2]).all()
+        assert (np.diag(found.scores) == -1).all()
+        assert not found.scores.flags.writeable
+
+
+def test_search_on_empty_histogram_scores_zero():
+    found = search_fault_values(CiphertextHistogram())
+    assert found.best == (0, 1)
+    assert found.top_score == 0
+    assert found.inconclusive
+    assert len(found.top_group()) == 256 * 255
+
+
+@pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])
+def test_recovery_rejects_out_of_range_index(v, v_star):
+    with pytest.raises(ValueError, match="0..255"):
+        recover_key_maxmin(CiphertextHistogram(), v, v_star)
+
+
+@pytest.mark.parametrize("v", [-1, 256])
+def test_eliminate_candidates_rejects_out_of_range_index(v):
+    with pytest.raises(ValueError, match="0..255"):
+        eliminate_candidates(CiphertextHistogram(), v)
+
+
+@pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])
+def test_min_ciphertexts_rejects_out_of_range_index(v, v_star):
+    blocks = np.zeros((4, BLOCK_SIZE), dtype=np.uint8)
+    with pytest.raises(ValueError, match="0..255"):
+        min_ciphertexts_to_recover(blocks, bytes(16), v, v_star)
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_min_ciphertexts_rejects_wrong_key_length(length):
+    blocks = np.zeros((4, BLOCK_SIZE), dtype=np.uint8)
+    with pytest.raises(ValueError, match="round-10 key"):
+        min_ciphertexts_to_recover(blocks, bytes(length), 1, 2)
+
+
 def _min_ct_by_replay(blocks, k10, v, v_star, zco_filter=False):
     """Literal re-evaluation after every block, the slow oracle."""
     counts = np.zeros((16, 256), dtype=np.int64)

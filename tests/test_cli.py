@@ -97,6 +97,10 @@ def test_attack_search_mode(stream_file, capsys):
     # so the reported key equals the truth up to that class offset.
     delta = AES_SBOX[output["v"]] ^ AES_SBOX[0x42]
     assert [b ^ delta for b in output["k10"]] == list(k10)
+    # The search names that class and the 256 pairs tied in it.
+    assert output["v"] == 0
+    assert output["search"]["difference"] == AES_SBOX[0x42] ^ 0x00
+    assert output["search"]["candidates"] == 256
 
 
 def test_attack_argument_errors(stream_file, capsys):
@@ -112,6 +116,44 @@ def test_attack_rejects_bad_hex(tmp_path, capsys):
     assert main(["attack", str(bad), "--v", "1", "--v-star", "2"]) == 1
     err = capsys.readouterr().err
     assert "bad.txt:1" in err
+
+
+def _attack_output(path, capsys):
+    assert main(["attack", str(path), "--search"]) == 0
+    return capsys.readouterr().out
+
+
+def test_attack_reads_crlf_and_blank_lines(stream_file, tmp_path, capsys):
+    path, _ = stream_file
+    expected = _attack_output(path, capsys)
+    lines = path.read_text().splitlines()
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert _attack_output(crlf, capsys) == expected
+    padded = tmp_path / "padded.txt"
+    padded.write_text("\n  \n" + "\n \t \n".join(" " + line for line in lines))
+    assert _attack_output(padded, capsys) == expected
+
+
+def test_attack_names_the_first_uppercase_line(tmp_path, capsys):
+    block = "00112233445566778899aabbccddeeff"
+    bad = tmp_path / "upper.txt"
+    bad.write_text(f"{block}\n\n{block}\n{block.upper()}\n{block}\n")
+    assert main(["attack", str(bad), "--search"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}:4: expected 32 lowercase hex "
+                            f"chars, got {block.upper()!r}\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+def test_attack_rejects_a_file_without_blocks(tmp_path, capsys, text):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(text)
+    assert main(["attack", str(empty), "--search"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty}: no ciphertext blocks\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--v", "-1"), ("--v", "0x100"),
