@@ -73,7 +73,6 @@ from .guard import (
     dc_encrypt,
     detect,
     precorrect_table,
-    vote,
 )
 from .rng import RNG_ALGORITHM, Rng, derive_seed
 from .sbox import AES_INV_SBOX, AES_SBOX, NotAPermutation, SBoxTable

@@ -9,9 +9,11 @@ read during encryption, not the key schedule computed beforehand.
 State layout follows the standard column-major convention: byte i of a
 block is state[row=i % 4, col=i // 4], i.e. flat index 4*c + r.
 
-Two execution paths are provided with identical semantics: a scalar path
-operating on 16-byte ``bytes`` blocks, and a batched path operating on
-numpy arrays of shape (n, 16) for the statistics-heavy experiments.
+The rounds are written once, as a kernel over a (16, n) state: row i
+holds byte i of every block, so ShiftRows and the rotations inside a
+column are row gathers.  encrypt_blocks/decrypt_blocks take (n, 16)
+arrays; encrypt/decrypt take one 16-byte ``bytes`` block and run as a
+one-row batch.
 """
 
 from __future__ import annotations
@@ -58,28 +60,14 @@ INV_SHIFT_ROWS_PERM = tuple(SHIFT_ROWS_PERM.index(i) for i in range(16))
 _SR_IDX = np.array(SHIFT_ROWS_PERM, dtype=np.intp)
 _INV_SR_IDX = np.array(INV_SHIFT_ROWS_PERM, dtype=np.intp)
 
+# Row 4*c + r of s[_ROT] is row 4*c + (r + 1) % 4 of s: one step up its column.
+_ROT = np.array([4 * (i // 4) + (i + 1) % 4 for i in range(16)], dtype=np.intp)
+_ROT2 = _ROT[_ROT]
 
-def _gf_mul(a: int, b: int) -> int:
-    out = 0
-    for _ in range(8):
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= 0x11B
-    return out
-
-
-XTIME = bytes(_gf_mul(x, 2) for x in range(256))
-_GM9 = bytes(_gf_mul(x, 9) for x in range(256))
-_GM11 = bytes(_gf_mul(x, 11) for x in range(256))
-_GM13 = bytes(_gf_mul(x, 13) for x in range(256))
-_GM14 = bytes(_gf_mul(x, 14) for x in range(256))
-
-_XT = np.frombuffer(XTIME, dtype=np.uint8)
-_NP_GM = {m: np.frombuffer(t, dtype=np.uint8) for m, t in
-          ((9, _GM9), (11, _GM11), (13, _GM13), (14, _GM14))}
+# Multiplication by {02} and by {04} in GF(2^8).
+_XT = np.array([(x << 1 ^ (x >> 7) * 0x1B) & 0xFF for x in range(256)],
+               dtype=np.uint8)
+_XT4 = _XT[_XT]
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -153,39 +141,96 @@ def sub_bytes_block(block: bytes, table: SBoxTable = AES_SBOX) -> bytes:
     return block.translate(table.entries)
 
 
-def _shift_rows(state: bytes) -> bytes:
-    return bytes(state[i] for i in SHIFT_ROWS_PERM)
+def _mix_columns(s: np.ndarray) -> np.ndarray:
+    # Output row r is s_r ^ t ^ {02}(s_r ^ s_{r+1}), where the column sum
+    # t = s_0 ^ s_1 ^ s_2 ^ s_3 is a ^ a[_ROT2] for a = s ^ s[_ROT].
+    a = s ^ s[_ROT]
+    return s ^ a ^ a[_ROT2] ^ np.take(_XT, a)
 
 
-def _inv_shift_rows(state: bytes) -> bytes:
-    return bytes(state[i] for i in INV_SHIFT_ROWS_PERM)
+def _inv_mix_columns(s: np.ndarray) -> np.ndarray:
+    # The inverse matrix factors as MixColumns times {04}x^2 + {05}
+    # (Daemen & Rijmen, The Design of Rijndael, section 4.1.3).
+    return _mix_columns(s ^ np.take(_XT4, s ^ s[_ROT2]))
 
 
-def _mix_columns(state: bytes) -> bytes:
-    out = bytearray(16)
-    for c in range(0, 16, 4):
-        s0, s1, s2, s3 = state[c:c + 4]
-        t = s0 ^ s1 ^ s2 ^ s3
-        out[c] = s0 ^ t ^ XTIME[s0 ^ s1]
-        out[c + 1] = s1 ^ t ^ XTIME[s1 ^ s2]
-        out[c + 2] = s2 ^ t ^ XTIME[s2 ^ s3]
-        out[c + 3] = s3 ^ t ^ XTIME[s3 ^ s0]
-    return bytes(out)
+def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
+    """The 11 round keys as (11, 16, 1), to XOR into a (16, n) state."""
+    keys = np.array([np.frombuffer(k, dtype=np.uint8) for k in round_keys])
+    return keys[:, :, None]
 
 
-def _inv_mix_columns(state: bytes) -> bytes:
-    out = bytearray(16)
-    for c in range(0, 16, 4):
-        s0, s1, s2, s3 = state[c:c + 4]
-        out[c] = _GM14[s0] ^ _GM11[s1] ^ _GM13[s2] ^ _GM9[s3]
-        out[c + 1] = _GM9[s0] ^ _GM14[s1] ^ _GM11[s2] ^ _GM13[s3]
-        out[c + 2] = _GM13[s0] ^ _GM9[s1] ^ _GM14[s2] ^ _GM11[s3]
-        out[c + 3] = _GM11[s0] ^ _GM13[s1] ^ _GM9[s2] ^ _GM14[s3]
-    return bytes(out)
+def _shift(options: CipherOptions, perm: np.ndarray = _SR_IDX):
+    return perm if options.shift_rows_enabled else slice(None)
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _lut(table: SBoxTable) -> np.ndarray:
+    return np.frombuffer(table.entries, dtype=np.uint8)
+
+
+def _state(blocks: np.ndarray) -> np.ndarray:
+    """(n, 16) blocks as a fresh C-ordered (16, n) uint8 state."""
+    if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
+        raise ValueError("expected an (n, 16) array of blocks")
+    return blocks.T.astype(np.uint8, order="C")
+
+
+def _blocks(state: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(state.T)
+
+
+def _row(block: bytes) -> np.ndarray:
+    """One block as a (1, 16) batch."""
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"expected a {BLOCK_SIZE}-byte block")
+    return np.frombuffer(block, dtype=np.uint8).reshape(1, BLOCK_SIZE)
+
+
+def _rounds(state, keys, lut, shift, sink=None):
+    """Rounds 1..9 and round 10's SubBytes on a (16, n) state that
+    already holds round key 0.
+
+    Round 10's ShiftRows and AddRoundKey are left to the caller, which
+    lets byte scrambling cross its two paths there.  sink, when given a
+    list, receives every round's SubBytes input.
+    """
+    for rnd in range(1, NUM_ROUNDS + 1):
+        if rnd > 1:
+            state = _mix_columns(state[shift]) ^ keys[rnd - 1]
+        if sink is not None:
+            sink.append(state)
+        state = np.take(lut, state)
+    return state
+
+
+def encrypt_blocks(
+    plaintexts: np.ndarray,
+    round_keys: list[bytes],
+    table: SBoxTable = AES_SBOX,
+    options: CipherOptions = DEFAULT_OPTIONS,
+) -> np.ndarray:
+    """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out."""
+    keys = _round_keys_array(round_keys)
+    shift = _shift(options)
+    state = _rounds(_state(plaintexts) ^ keys[0], keys, _lut(table), shift)
+    return _blocks(state[shift] ^ keys[NUM_ROUNDS])
+
+
+def decrypt_blocks(
+    ciphertexts: np.ndarray,
+    round_keys: list[bytes],
+    inv_table: SBoxTable = AES_INV_SBOX,
+    options: CipherOptions = DEFAULT_OPTIONS,
+) -> np.ndarray:
+    keys = _round_keys_array(round_keys)
+    lut = _lut(inv_table)
+    shift = _shift(options, _INV_SR_IDX)
+    state = _state(ciphertexts) ^ keys[NUM_ROUNDS]
+    for rnd in range(NUM_ROUNDS - 1, -1, -1):
+        state = np.take(lut, state[shift]) ^ keys[rnd]
+        if rnd:
+            state = _inv_mix_columns(state)
+    return _blocks(state)
 
 
 def encrypt(
@@ -198,22 +243,16 @@ def encrypt(
     """Encrypt one block with the given (possibly faulted) table.
 
     trace, when given a set, collects every table index read during this
-    encryption.  Tracing forces a slower per-byte path, so it is off by
-    default.
+    encryption; that costs one more pass through the rounds.
     """
-    if len(plaintext) != BLOCK_SIZE:
-        raise ValueError(f"expected a {BLOCK_SIZE}-byte block")
-    state = _xor(plaintext, round_keys[0])
-    for rnd in range(1, NUM_ROUNDS + 1):
-        if trace is not None:
-            trace.update(state)
-        state = sub_bytes_block(state, table)
-        if options.shift_rows_enabled:
-            state = _shift_rows(state)
-        if rnd < NUM_ROUNDS:
-            state = _mix_columns(state)
-        state = _xor(state, round_keys[rnd])
-    return state
+    block = _row(plaintext)
+    if trace is not None:
+        sink: list[np.ndarray] = []
+        keys = _round_keys_array(round_keys)
+        _rounds(_state(block) ^ keys[0], keys, _lut(table), _shift(options),
+                sink)
+        trace.update(np.concatenate(sink).tobytes())
+    return encrypt_blocks(block, round_keys, table, options)[0].tobytes()
 
 
 def decrypt(
@@ -225,94 +264,5 @@ def decrypt(
     """Decrypt one block.  inv_table plays the role the inverse table
     would play in a device's decryption module and may be faulted
     independently of the forward table."""
-    if len(ciphertext) != BLOCK_SIZE:
-        raise ValueError(f"expected a {BLOCK_SIZE}-byte block")
-    state = _xor(ciphertext, round_keys[NUM_ROUNDS])
-    for rnd in range(NUM_ROUNDS, 0, -1):
-        if options.shift_rows_enabled:
-            state = _inv_shift_rows(state)
-        state = sub_bytes_block(state, inv_table)
-        state = _xor(state, round_keys[rnd - 1])
-        if rnd > 1:
-            state = _inv_mix_columns(state)
-    return state
-
-
-def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
-    return np.array([np.frombuffer(k, dtype=np.uint8) for k in round_keys])
-
-
-def encrypt_blocks(
-    plaintexts: np.ndarray,
-    round_keys: list[bytes],
-    table: SBoxTable = AES_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
-) -> np.ndarray:
-    """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out.
-
-    Bit-identical to the scalar path; the unit tests pin this down.
-    """
-    if plaintexts.ndim != 2 or plaintexts.shape[1] != BLOCK_SIZE:
-        raise ValueError("expected an (n, 16) array of blocks")
-    keys = _round_keys_array(round_keys)
-    lut = np.frombuffer(table.entries, dtype=np.uint8)
-    state = plaintexts.astype(np.uint8) ^ keys[0]
-    for rnd in range(1, NUM_ROUNDS + 1):
-        state = lut[state]
-        if options.shift_rows_enabled:
-            state = state[:, _SR_IDX]
-        if rnd < NUM_ROUNDS:
-            state = _mix_columns_np(state)
-        state = state ^ keys[rnd]
-    return state
-
-
-def decrypt_blocks(
-    ciphertexts: np.ndarray,
-    round_keys: list[bytes],
-    inv_table: SBoxTable = AES_INV_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
-) -> np.ndarray:
-    if ciphertexts.ndim != 2 or ciphertexts.shape[1] != BLOCK_SIZE:
-        raise ValueError("expected an (n, 16) array of blocks")
-    keys = _round_keys_array(round_keys)
-    lut = np.frombuffer(inv_table.entries, dtype=np.uint8)
-    state = ciphertexts.astype(np.uint8) ^ keys[NUM_ROUNDS]
-    for rnd in range(NUM_ROUNDS, 0, -1):
-        if options.shift_rows_enabled:
-            state = state[:, _INV_SR_IDX]
-        state = lut[state]
-        state = state ^ keys[rnd - 1]
-        if rnd > 1:
-            state = _inv_mix_columns_np(state)
-    return state
-
-
-def _mix_columns_np(state: np.ndarray) -> np.ndarray:
-    out = np.empty_like(state)
-    for c in range(0, 16, 4):
-        s0 = state[:, c]
-        s1 = state[:, c + 1]
-        s2 = state[:, c + 2]
-        s3 = state[:, c + 3]
-        t = s0 ^ s1 ^ s2 ^ s3
-        out[:, c] = s0 ^ t ^ _XT[s0 ^ s1]
-        out[:, c + 1] = s1 ^ t ^ _XT[s1 ^ s2]
-        out[:, c + 2] = s2 ^ t ^ _XT[s2 ^ s3]
-        out[:, c + 3] = s3 ^ t ^ _XT[s3 ^ s0]
-    return out
-
-
-def _inv_mix_columns_np(state: np.ndarray) -> np.ndarray:
-    out = np.empty_like(state)
-    g9, g11, g13, g14 = (_NP_GM[m] for m in (9, 11, 13, 14))
-    for c in range(0, 16, 4):
-        s0 = state[:, c]
-        s1 = state[:, c + 1]
-        s2 = state[:, c + 2]
-        s3 = state[:, c + 3]
-        out[:, c] = g14[s0] ^ g11[s1] ^ g13[s2] ^ g9[s3]
-        out[:, c + 1] = g9[s0] ^ g14[s1] ^ g11[s2] ^ g13[s3]
-        out[:, c + 2] = g13[s0] ^ g9[s1] ^ g14[s2] ^ g11[s3]
-        out[:, c + 3] = g11[s0] ^ g13[s1] ^ g9[s2] ^ g14[s3]
-    return out
+    return decrypt_blocks(_row(ciphertext), round_keys, inv_table,
+                          options)[0].tobytes()

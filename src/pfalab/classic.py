@@ -12,6 +12,9 @@ round's ShiftRows, routes each shifted byte from the other path when
 state thereby migrates to the other path's output, so the observed path
 stays correct.  A persistent fault in a shared table corrupts both
 paths identically, which the routing cannot hide.
+
+Both schemes run the rounds of pfalab.aes; the one-block calls are
+one-row batches of the (n, 16) calls.
 """
 
 from __future__ import annotations
@@ -24,18 +27,16 @@ from .aes import (
     BLOCK_SIZE,
     DEFAULT_OPTIONS,
     NUM_ROUNDS,
-    SHIFT_ROWS_PERM,
     CipherOptions,
-    _mix_columns,
-    _mix_columns_np,
+    _blocks,
+    _lut,
     _round_keys_array,
-    _shift_rows,
-    _xor,
-    decrypt,
+    _row,
+    _rounds,
+    _shift,
+    _state,
     decrypt_blocks,
-    encrypt,
     encrypt_blocks,
-    sub_bytes_block,
 )
 from .rng import Rng
 from .sbox import SBoxTable
@@ -93,16 +94,6 @@ class GuardedOutput:
     mismatch: bool
 
 
-def _apply_defense(cfg: DmrConfig, ciphertext: bytes, rng: Rng | None) -> GuardedOutput:
-    if cfg.defense == NCO:
-        return GuardedOutput(status=SUPPRESSED, ciphertext=None, mismatch=True)
-    if cfg.defense == ZCO:
-        return GuardedOutput(status=OK, ciphertext=ZERO_BLOCK, mismatch=True)
-    if rng is None:
-        raise ValueError("RCO defense needs an rng")
-    return GuardedOutput(status=OK, ciphertext=rng.randbytes(BLOCK_SIZE), mismatch=True)
-
-
 def dmr_encrypt(
     plaintext: bytes,
     round_keys: list[bytes],
@@ -112,22 +103,19 @@ def dmr_encrypt(
     rng: Rng | None = None,
     options: CipherOptions = DEFAULT_OPTIONS,
 ) -> GuardedOutput:
-    """One DMR-guarded encryption.
+    """One DMR-guarded encryption: dmr_encrypt_blocks on a one-row batch.
 
     Module 1 (the observed one) always encrypts with faulted_table;
     module 2's table follows cfg.fault_scope.  The mismatch predicate
     never depends on the defense chosen.
     """
-    c1 = encrypt(plaintext, round_keys, faulted_table, options)
-    if cfg.mode == REDMR:
-        table2 = faulted_table if cfg.fault_scope == SHARED else pristine_table
-        mismatch = encrypt(plaintext, round_keys, table2, options) != c1
-    else:
-        recovered = decrypt(c1, round_keys, pristine_table.inverse(), options)
-        mismatch = recovered != plaintext
-    if mismatch:
-        return _apply_defense(cfg, c1, rng)
-    return GuardedOutput(status=OK, ciphertext=c1, mismatch=False)
+    out, mismatch = dmr_encrypt_blocks(_row(plaintext), round_keys,
+                                       pristine_table, faulted_table, cfg,
+                                       rng, options)
+    if mismatch[0] and cfg.defense == NCO:
+        return GuardedOutput(status=SUPPRESSED, ciphertext=None, mismatch=True)
+    return GuardedOutput(status=OK, ciphertext=out[0].tobytes(),
+                         mismatch=bool(mismatch[0]))
 
 
 def dmr_encrypt_blocks(
@@ -144,7 +132,7 @@ def dmr_encrypt_blocks(
     Under NCO the mismatched rows are still present in the array but
     carry no meaning; callers drop them via the mask.  Under ZCO they
     are zeroed, under RCO filled with seeded random bytes drawn in row
-    order, so the batch matches the scalar path block for block.
+    order, so one call on n rows draws what n one-block calls draw.
     """
     c1 = encrypt_blocks(plaintexts, round_keys, faulted_table, options)
     if cfg.mode == REDMR:
@@ -154,36 +142,48 @@ def dmr_encrypt_blocks(
     else:
         back = decrypt_blocks(c1, round_keys, pristine_table.inverse(), options)
         mismatch = (back != plaintexts).any(axis=1)
-    out = c1.copy()
     if cfg.defense == ZCO:
-        out[mismatch] = 0
+        c1[mismatch] = 0
     elif cfg.defense == RCO:
         count = int(mismatch.sum())
         if count:
             if rng is None:
                 raise ValueError("RCO defense needs an rng")
             fill = np.frombuffer(rng.randbytes(count * BLOCK_SIZE), dtype=np.uint8)
-            out[mismatch] = fill.reshape(count, BLOCK_SIZE)
-    return out, mismatch
+            c1[mismatch] = fill.reshape(count, BLOCK_SIZE)
+    return c1, mismatch
 
 
 # Byte-routing parity for the last-round crossing: target 4*c + r takes
 # its byte from the other path when (r + c) is even.
 BS_CROSS = tuple((p % 4 + p // 4) % 2 == 0 for p in range(16))
+_BS_CROSS_ROWS = np.array(BS_CROSS)[:, None]
 
 
-def _bs_last_shift(state_a, state_b, perm):
-    out_a = bytearray(16)
-    out_b = bytearray(16)
-    for p in range(16):
-        q = perm[p]
-        if BS_CROSS[p]:
-            out_a[p] = state_b[q]
-            out_b[p] = state_a[q]
-        else:
-            out_a[p] = state_a[q]
-            out_b[p] = state_b[q]
-    return bytes(out_a), bytes(out_b)
+def _bs_encrypt_paths(plaintexts, round_keys, table_a, table_b, options,
+                      transient_b=None):
+    """Both paths' (n, 16) ciphertexts of a byte-scrambled encryption.
+
+    Rounds 1..9 run independently per path; the crossing happens in the
+    last round's ShiftRows.  transient_b=(position, value) overwrites
+    one byte of path B's pre-shift last-round state in every block.
+    """
+    if transient_b is not None:
+        pos, value = transient_b
+        if not (0 <= pos < BLOCK_SIZE and 0 <= value <= 0xFF):
+            raise ValueError("transient_b must be a (position in 0..15, "
+                             f"byte value) pair, got {transient_b!r}")
+    keys = _round_keys_array(round_keys)
+    shift = _shift(options)
+    state = _state(plaintexts) ^ keys[0]
+    path_a = _rounds(state, keys, _lut(table_a), shift)
+    path_b = _rounds(state, keys, _lut(table_b), shift)
+    if transient_b is not None:
+        path_b[pos] = value
+    path_a, path_b = path_a[shift], path_b[shift]
+    last = keys[NUM_ROUNDS]
+    return (_blocks(np.where(_BS_CROSS_ROWS, path_b, path_a) ^ last),
+            _blocks(np.where(_BS_CROSS_ROWS, path_a, path_b) ^ last))
 
 
 def bs_encrypt_pair(
@@ -194,33 +194,15 @@ def bs_encrypt_pair(
     options: CipherOptions = DEFAULT_OPTIONS,
     transient_b: tuple[int, int] | None = None,
 ) -> tuple[bytes, bytes]:
-    """Both path outputs of a byte-scrambled encryption.
+    """Both path outputs of a byte-scrambled encryption of one block.
 
-    Rounds 1..9 run independently per path; the crossing happens in the
-    last round's ShiftRows.  transient_b=(position, value) overwrites
-    one byte of path B's pre-shift last-round state, modeling the
-    transient fault the scheme is built to divert.
+    transient_b=(position, value) overwrites one byte of path B's
+    pre-shift last-round state, modeling the transient fault the scheme
+    is built to divert.
     """
-    state_a = _xor(plaintext, round_keys[0])
-    state_b = state_a
-    for rnd in range(1, NUM_ROUNDS):
-        state_a = sub_bytes_block(state_a, table_a)
-        state_b = sub_bytes_block(state_b, table_b)
-        if options.shift_rows_enabled:
-            state_a = _shift_rows(state_a)
-            state_b = _shift_rows(state_b)
-        state_a = _xor(_mix_columns(state_a), round_keys[rnd])
-        state_b = _xor(_mix_columns(state_b), round_keys[rnd])
-    state_a = sub_bytes_block(state_a, table_a)
-    state_b = sub_bytes_block(state_b, table_b)
-    if transient_b is not None:
-        pos, value = transient_b
-        corrupted = bytearray(state_b)
-        corrupted[pos] = value
-        state_b = bytes(corrupted)
-    perm = SHIFT_ROWS_PERM if options.shift_rows_enabled else tuple(range(16))
-    state_a, state_b = _bs_last_shift(state_a, state_b, perm)
-    return _xor(state_a, round_keys[NUM_ROUNDS]), _xor(state_b, round_keys[NUM_ROUNDS])
+    out_a, out_b = _bs_encrypt_paths(_row(plaintext), round_keys, table_a,
+                                     table_b, options, transient_b)
+    return out_a[0].tobytes(), out_b[0].tobytes()
 
 
 def bs_encrypt(
@@ -236,10 +218,6 @@ def bs_encrypt(
                            options, transient_b)[1]
 
 
-_BS_SRC = np.array(SHIFT_ROWS_PERM, dtype=np.intp)
-_BS_CROSS_NP = np.array(BS_CROSS)
-
-
 def bs_encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
@@ -248,23 +226,5 @@ def bs_encrypt_blocks(
     options: CipherOptions = DEFAULT_OPTIONS,
 ) -> np.ndarray:
     """Batched path-B ciphertexts (the adversary's view)."""
-    keys = _round_keys_array(round_keys)
-    lut_a = np.frombuffer(table_a.entries, dtype=np.uint8)
-    lut_b = np.frombuffer(table_b.entries, dtype=np.uint8)
-    sr = _BS_SRC if options.shift_rows_enabled else np.arange(16, dtype=np.intp)
-    state_a = plaintexts.astype(np.uint8) ^ keys[0]
-    state_b = state_a.copy()
-    for rnd in range(1, NUM_ROUNDS):
-        state_a = lut_a[state_a]
-        state_b = lut_b[state_b]
-        if options.shift_rows_enabled:
-            state_a = state_a[:, _BS_SRC]
-            state_b = state_b[:, _BS_SRC]
-        state_a = _mix_columns_np(state_a) ^ keys[rnd]
-        state_b = _mix_columns_np(state_b) ^ keys[rnd]
-    state_a = lut_a[state_a]
-    state_b = lut_b[state_b]
-    shifted_a = state_a[:, sr]
-    shifted_b = state_b[:, sr]
-    out_b = np.where(_BS_CROSS_NP, shifted_a, shifted_b)
-    return out_b ^ keys[NUM_ROUNDS]
+    return _bs_encrypt_paths(plaintexts, round_keys, table_a, table_b,
+                             options)[1]

@@ -7,6 +7,7 @@ when a --check verification fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -164,7 +165,9 @@ def _hex_int(text: str) -> int:
     return int(text, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args keeps no state between calls."""
     parser = _Parser(prog="pfalab",
                      description="persistent-fault lab for table ciphers")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -353,32 +353,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=config, records=records)
 
 
+def _per_implementation(records):
+    """Yield (implementation, records, stats, not-reached fraction) per
+    implementation in first-seen order.
+
+    stats are the min, median and p90 (the value at rank ceil(0.9 n)) of
+    the minimum counts of the trials that reached recovery, or None when
+    no trial did.
+    """
+    groups: dict = {}
+    for record in records:
+        groups.setdefault(record["implementation"], []).append(record)
+    for impl, recs in groups.items():
+        reached = sorted(r["min_ciphertexts"] for r in recs
+                         if r["min_ciphertexts"] is not None)
+        stats = None
+        if reached:
+            stats = (reached[0], statistics.median(reached),
+                     reached[math.ceil(0.9 * len(reached)) - 1])
+        yield impl, recs, stats, (len(recs) - len(reached)) / len(recs)
+
+
 def emit_table3(records) -> str:
     """Minimum-ciphertext summary, one row per implementation.
 
-    p90 is the value at rank ceil(0.9 n) among the trials that reached
-    recovery; not_reached_fraction counts the trials that never did.
-    Implementations with no reached trial get NA statistics.
+    not_reached_fraction counts the trials that never reached recovery;
+    implementations with no reached trial get NA statistics.
     """
-    by_impl: dict = {}
-    order = []
-    for record in records:
-        impl = record["implementation"]
-        if impl not in by_impl:
-            by_impl[impl] = []
-            order.append(impl)
-        by_impl[impl].append(record["min_ciphertexts"])
     lines = ["implementation,min,median,p90,not_reached_fraction"]
-    for impl in order:
-        values = by_impl[impl]
-        reached = sorted(value for value in values if value is not None)
-        if reached:
-            low = str(reached[0])
-            mid = str(statistics.median(reached))
-            p90 = str(reached[math.ceil(0.9 * len(reached)) - 1])
-        else:
-            low = mid = p90 = "NA"
-        fraction = (len(values) - len(reached)) / len(values)
+    for impl, _, stats, fraction in _per_implementation(records):
+        low, mid, p90 = stats or ("NA",) * 3
         lines.append(f"{impl},{low},{mid},{p90},{fraction}")
     return "\n".join(lines) + "\n"
 
@@ -395,27 +399,14 @@ def emit_distribution_curves(records) -> str:
 
 def summarize(records) -> str:
     """Human-readable per-implementation digest of a record list."""
-    by_impl: dict = {}
-    order = []
-    for record in records:
-        impl = record["implementation"]
-        if impl not in by_impl:
-            by_impl[impl] = []
-            order.append(impl)
-        by_impl[impl].append(record)
     lines = []
-    for impl in order:
-        recs = by_impl[impl]
-        reached = sorted(r["min_ciphertexts"] for r in recs
-                         if r["min_ciphertexts"] is not None)
+    for impl, recs, stats, fraction in _per_implementation(records):
         full = sum(1 for r in recs if r["full_recovery"])
         parts = [f"{impl}: trials={len(recs)}", f"full_recovery={full}"]
-        if reached:
-            parts.append(f"min={reached[0]}")
-            parts.append(f"median={statistics.median(reached)}")
-            parts.append(f"p90={reached[math.ceil(0.9 * len(reached)) - 1]}")
-        parts.append(
-            f"not_reached={(len(recs) - len(reached)) / len(recs)}")
+        if stats:
+            parts += (f"{name}={value}" for name, value
+                      in zip(("min", "median", "p90"), stats))
+        parts.append(f"not_reached={fraction}")
         lines.append("  ".join(parts))
     return "\n".join(lines) + "\n"
 

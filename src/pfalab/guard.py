@@ -23,7 +23,6 @@ copy of the table on every call.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,43 +85,10 @@ def detect(
     return False
 
 
-def reconstruct_candidates(
-    table: SBoxTable,
-    tables: RedundantTables,
-    x: int,
-) -> tuple[int, int, int, int]:
-    """The four neighbour-based reconstructions of entry x.
-
-    Each parity entry ties two adjacent table entries together, so each
-    of the four neighbours proposes a value for x; a proposal is sound
-    iff that neighbour's entry is sound.
-    """
-    return (
-        table[up(x)] ^ tables.v[up(x)],
-        table[down(x)] ^ tables.v[x],
-        table[left(x)] ^ tables.h[left(x)],
-        table[right(x)] ^ tables.h[x],
-    )
-
-
-def vote(candidates: tuple[int, ...], current: int) -> tuple[int, bool]:
-    """Majority vote with a pair fallback.
-
-    Resolves to the unique value holding at least two of the four votes;
-    a 2-2 tie or four distinct values keeps the current entry and
-    reports the vote as unresolved.
-    """
-    counts = Counter(candidates)
-    (top_value, top_count), *rest = counts.most_common()
-    if top_count >= 3:
-        return top_value, True
-    if top_count == 2 and (not rest or rest[0][1] < 2):
-        return top_value, True
-    return current, False
-
-
-# vote() by the number of agreeing candidate pairs: 1 (2-1-1), 3 (3-1)
-# and 6 (4-0) leave one majority; 0 and 2 (2-2) do not; 4 and 5 cannot.
+# A vote resolves to the unique value holding at least two of the four
+# candidates; a 2-2 tie or four distinct values stay unresolved.  By the
+# number of agreeing candidate pairs: 1 (2-1-1), 3 (3-1) and 6 (4-0)
+# leave one majority; 0 and 2 (2-2) do not; 4 and 5 cannot occur.
 _PAIR_I, _PAIR_J = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
 _RESOLVED_BY_AGREEING_PAIRS = np.array([0, 1, 0, 1, 0, 0, 1], dtype=bool)
 
@@ -221,19 +187,14 @@ def correct(
         unresolved=tuple(active[~resolved].tolist()))
 
 
-def precorrect_lookup(table: SBoxTable, tables: RedundantTables, x: int) -> int:
-    """Voted value for one lookup, without writing anything.
-
-    The always-on variant of repair: every table read is replaced by
-    this reconstruction, so a single fault is masked from the very first
-    encryption, at four lookups and three XORs per table read.
-    """
-    value, resolved = vote(reconstruct_candidates(table, tables, x), table[x])
-    return value if resolved else table[x]
-
-
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
-    """All 256 voted lookups as an effective table (one vote sweep)."""
+    """All 256 voted lookups as an effective table (one vote sweep).
+
+    The always-on variant of repair: every table read is replaced by its
+    neighbour vote, so a single fault is masked from the very first
+    encryption, at four lookups and three XORs per table read.  An
+    unresolved vote keeps the stored entry.
+    """
     entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
     active, winner, resolved = _sweep(entries, tables)
     entries[active[resolved]] = winner[resolved]

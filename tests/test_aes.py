@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from pfalab.aes import (
     sub_bytes_block,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, IDENTITY_TABLE
+from pfalab.sbox import AES_INV_SBOX, AES_SBOX, IDENTITY_TABLE
 
 FIPS_KEY = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_PT = block_from_hex("3243f6a8885a308d313198a2e0370734")
 FIPS_CT = block_from_hex("3925841d02dc09fbdc118597196a0b32")
+NO_SHIFT = CipherOptions(shift_rows_enabled=False)
 
 
 def test_fips_example_vector():
@@ -148,3 +151,56 @@ def test_batched_matches_scalar_with_faulted_table():
 def test_rounds_option_is_pinned():
     with pytest.raises(ValueError):
         CipherOptions(rounds=9)
+
+
+# Golden vectors recorded from the byte-at-a-time reference rounds that
+# preceded the batched kernel (FIPS key; entry 0x00 faulted).
+def test_golden_faulted_encrypt():
+    rk = key_expand(FIPS_KEY)
+    faulted = AES_SBOX.with_entry(0x00, 0x00)
+    for options, want in (
+            (CipherOptions(), "b53b26354eea9e66eff02111fca6e7ef"),
+            (NO_SHIFT, "de4a19166aca3b22a4db44ce6af0c504")):
+        assert encrypt(FIPS_PT, rk, faulted, options).hex() == want
+        row = np.frombuffer(FIPS_PT, dtype=np.uint8).reshape(1, BLOCK_SIZE)
+        assert encrypt_blocks(row, rk, faulted, options)[0].tobytes().hex() \
+            == want
+
+
+def test_golden_decrypt():
+    rk = key_expand(FIPS_KEY)
+    inv_faulted = AES_INV_SBOX.with_entry(0x00, AES_INV_SBOX[0x00] ^ 0xFF)
+    assert decrypt(FIPS_PT, rk).hex() == "cb13389c1d59c1d50d11f6b90c38ce7f"
+    assert decrypt(FIPS_PT, rk, inv_faulted).hex() == \
+        "0a17d765f2c73e396bbace9011ff8f91"
+    assert decrypt(FIPS_PT, rk, inv_faulted, NO_SHIFT).hex() == \
+        "f935c7afbba5aef9f0f65a0bda6e5cb7"
+
+
+def test_golden_digest_of_faulted_cases(faulted_cases):
+    h = hashlib.sha256()
+    for _, rk, block, table, inv_table in faulted_cases:
+        for options in (CipherOptions(), NO_SHIFT):
+            h.update(encrypt(block, rk, table, options))
+            h.update(decrypt(block, rk, inv_table, options))
+    assert h.hexdigest() == \
+        "f3c6bba4904e759312bd88d5aaea304b7f5f5575dc091f41314a633215fed799"
+
+
+@pytest.mark.parametrize("block", [b"", bytes(15), bytes(17)])
+def test_one_block_calls_reject_wrong_length(block):
+    rk = key_expand(FIPS_KEY)
+    with pytest.raises(ValueError, match="expected a 16-byte block"):
+        encrypt(block, rk)
+    with pytest.raises(ValueError, match="expected a 16-byte block"):
+        decrypt(block, rk)
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 15), (4, 17), (2, 4, 16)])
+def test_batched_calls_reject_wrong_shape(shape):
+    rk = key_expand(FIPS_KEY)
+    blocks = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):
+        encrypt_blocks(blocks, rk)
+    with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):
+        decrypt_blocks(blocks, rk)

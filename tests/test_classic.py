@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pfalab.aes import (
     BLOCK_SIZE,
     CipherOptions,
+    block_from_hex,
     encrypt,
     encrypt_blocks,
     key_expand,
@@ -228,3 +231,102 @@ def test_bs_without_shiftrows_still_pairs_up():
         a, b = bs_encrypt_pair(pt, rk, AES_SBOX, AES_SBOX, options=options)
         clean = encrypt(pt, rk, options=options)
         assert a == clean and b == clean
+
+
+# Golden vectors recorded from the byte-at-a-time reference rounds that
+# preceded the batched kernel: FIPS-197 key and plaintext, entry 0x00
+# faulted.
+FIPS_KEY = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c")
+FIPS_PT = block_from_hex("3243f6a8885a308d313198a2e0370734")
+FAULTED_00 = AES_SBOX.with_entry(0x00, 0x00)
+
+
+def test_bs_golden_pairs():
+    rk = key_expand(FIPS_KEY)
+    no_shift = CipherOptions(shift_rows_enabled=False)
+    cases = (
+        ((AES_SBOX, FAULTED_00), CipherOptions(), None,
+         ("b525261d02ea0966ef11219719a60bef",
+          "393b84354edc9efbdcf08511fc6ae732")),
+        ((FAULTED_00, AES_SBOX), CipherOptions(), (6, 0xA5),
+         ("393b84354edc9efbdcf08511fc6ae732",
+          "b525261d02ea0966ef11219719a6a9ef")),
+        ((FAULTED_00, AES_SBOX), no_shift, (6, 0xA5),
+         ("de4a19166aca3b22cadbc5ce6af0c504",
+          "de4a19166aca8022a414447c6af0c504")),
+    )
+    for (table_a, table_b), options, transient, want in cases:
+        pair = bs_encrypt_pair(FIPS_PT, rk, table_a, table_b, options,
+                               transient)
+        assert tuple(c.hex() for c in pair) == want
+        if transient is None:
+            row = np.frombuffer(FIPS_PT, dtype=np.uint8).reshape(1, -1)
+            cts = bs_encrypt_blocks(row, rk, table_a, table_b, options)
+            assert cts[0].tobytes().hex() == want[1]
+
+
+def test_dmr_golden_defenses():
+    rk = key_expand(FIPS_KEY)
+    for mode in (REDMR, IDDMR):
+        for defense, status, want in (
+                (NCO, SUPPRESSED, None),
+                (ZCO, OK, "00" * BLOCK_SIZE),
+                (RCO, OK, "5ac389a30c3b0363f83697934d3197c0")):
+            out = dmr_encrypt(FIPS_PT, rk, AES_SBOX, FAULTED_00,
+                              DmrConfig(mode=mode, defense=defense),
+                              rng=Rng(5))
+            assert out.mismatch is True
+            assert out.status == status
+            assert (out.ciphertext and out.ciphertext.hex()) == want
+
+
+def test_golden_digests_of_faulted_cases(faulted_cases):
+    h = hashlib.sha256()
+    for i, rk, block, table, _ in faulted_cases:
+        for options in (CipherOptions(), CipherOptions(False)):
+            for pair in (bs_encrypt_pair(block, rk, table, AES_SBOX, options),
+                         bs_encrypt_pair(block, rk, AES_SBOX, table, options,
+                                         (i % 16, 37 * i % 256))):
+                h.update(b"".join(pair))
+    assert h.hexdigest() == \
+        "1c9e3069a5bbf0e1a1d1f74f23c28ae345384f1073bccdc6ef93be7dcbcc54a0"
+    h = hashlib.sha256()
+    for mode in (REDMR, IDDMR):
+        for defense in (NCO, ZCO, RCO):
+            rng = Rng(7)  # one stream per configuration, drawn in order
+            for _, rk, block, table, _ in faulted_cases:
+                out = dmr_encrypt(block, rk, AES_SBOX, table,
+                                  DmrConfig(mode, defense), rng)
+                h.update(f"{out.status},{out.mismatch},".encode()
+                         + (out.ciphertext or b"-"))
+    assert h.hexdigest() == \
+        "d83cf4545403ffbe91704d7840fecefb00a8cbff5d26aebdcf5cbf7574e98531"
+
+
+@pytest.mark.parametrize("transient", [(-1, 0xA5), (16, 0xA5), (0, -1),
+                                       (0, 0x100)])
+def test_bs_rejects_transient_outside_the_block(transient):
+    rk = key_expand(FIPS_KEY)
+    with pytest.raises(ValueError, match="transient_b"):
+        bs_encrypt_pair(FIPS_PT, rk, AES_SBOX, AES_SBOX,
+                        transient_b=transient)
+    with pytest.raises(ValueError, match="transient_b"):
+        bs_encrypt(FIPS_PT, rk, AES_SBOX, AES_SBOX, transient_b=transient)
+
+
+def test_classic_calls_reject_malformed_blocks():
+    rk = key_expand(FIPS_KEY)
+    cfg = DmrConfig()
+    for block in (b"", FIPS_PT[:15], FIPS_PT + b"\x00"):
+        with pytest.raises(ValueError, match="expected a 16-byte block"):
+            bs_encrypt_pair(block, rk, AES_SBOX, AES_SBOX)
+        with pytest.raises(ValueError, match="expected a 16-byte block"):
+            bs_encrypt(block, rk, AES_SBOX, AES_SBOX, transient_b=(0, 1))
+        with pytest.raises(ValueError, match="expected a 16-byte block"):
+            dmr_encrypt(block, rk, AES_SBOX, AES_SBOX, cfg)
+    for shape in ((16,), (4, 15), (4, 17)):
+        blocks = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):
+            bs_encrypt_blocks(blocks, rk, AES_SBOX, AES_SBOX)
+        with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):
+            dmr_encrypt_blocks(blocks, rk, AES_SBOX, AES_SBOX, cfg)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +216,39 @@ def test_run_unwritable_out_is_an_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "pfalab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_fresh_processes(stream_file, capsys,
+                                               monkeypatch):
+    # main reuses one parser per process; a usage error must leave it
+    # fit for the calls after it.
+    monkeypatch.setenv("COLUMNS", "80")
+    path, k10 = stream_file
+    calls = (
+        ["run", "--impl", "tmr", "--out", "unused"],
+        ["attack", str(path), "--v", "0x42", "--v-star", "0x52",
+         "--true-k10", k10.hex()],
+        ["cost"],
+    )
+    for argv in calls:
+        assert _in_process(argv, capsys) == _fresh_process(argv), argv
+    assert _in_process(calls[0], capsys)[0] == 1

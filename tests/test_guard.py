@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,11 @@ from pfalab.guard import (
     SINGLE_ENTRY,
     CorrectionReport,
     GuardConfig,
+    _sweep,
     correct,
     dc_encrypt,
     detect,
-    precorrect_lookup,
     precorrect_table,
-    reconstruct_candidates,
-    vote,
 )
 from pfalab.rng import Rng
 from pfalab.sbox import AES_SBOX, SBoxTable, down, left, right, up
@@ -45,18 +45,44 @@ def test_second_checkpoint_catches_the_swap(pair):
     assert detect(swapped, pair, use_second_checkpoint=True) is True
 
 
-def test_vote_rules():
-    assert vote((9, 9, 9, 9), 0) == (9, True)
-    assert vote((9, 9, 9, 4), 0) == (9, True)
-    assert vote((9, 9, 4, 5), 0) == (9, True)
-    assert vote((9, 9, 4, 4), 7) == (7, False)
-    assert vote((1, 2, 3, 4), 7) == (7, False)
+def _plant_candidates(tables, x, candidates, current):
+    """A table whose entry x holds current and whose four neighbours make
+    x's reconstructions (up, down, left, right) equal candidates."""
+    entries = bytearray(AES_SBOX.entries)
+    entries[x] = current
+    for y, parity, c in ((up(x), tables.v[up(x)], candidates[0]),
+                         (down(x), tables.v[x], candidates[1]),
+                         (left(x), tables.h[left(x)], candidates[2]),
+                         (right(x), tables.h[x], candidates[3])):
+        entries[y] = c ^ parity
+    return SBoxTable(bytes(entries))
+
+
+def test_vote_rules(tables):
+    # Patterns 4-0, 3-1 and 2-1-1 resolve to the majority in any slot
+    # order; 2-2 and 1-1-1-1 keep the current entry.
+    for pattern, current, want in (((9, 9, 9, 9), 0, 9),
+                                   ((9, 9, 9, 4), 0, 9),
+                                   ((9, 9, 4, 5), 0, 9),
+                                   ((9, 9, 4, 4), 7, 7),
+                                   ((1, 2, 3, 4), 7, 7)):
+        for candidates in set(permutations(pattern)):
+            for x in (0x42, 0x00, 0xFF):
+                planted = _plant_candidates(tables, x, candidates, current)
+                assert precorrect_table(planted, tables)[x] == want, \
+                    (x, candidates)
 
 
 def test_reconstruction_identity_on_pristine(tables):
-    for x in range(256):
-        cands = reconstruct_candidates(AES_SBOX, tables, x)
-        assert cands == (AES_SBOX[x],) * 4
+    # Every parity check passes, so each entry's four reconstructions
+    # equal the entry itself and no vote runs.
+    active, _, _ = _sweep(np.frombuffer(AES_SBOX.entries, dtype=np.uint8),
+                          tables)
+    assert active.size == 0
+    assert precorrect_table(AES_SBOX, tables) == AES_SBOX
+    for x in (0x00, 0x42, 0xFF):
+        planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
+        assert planted == AES_SBOX
 
 
 def test_correct_single_fault_one_round(pair, tables):
@@ -156,21 +182,28 @@ def test_correction_report_json_shape():
     }
 
 
-def test_precorrect_lookup_masks_single_fault(tables):
+def test_precorrect_table_masks_single_fault(tables):
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    effective = precorrect_table(faulted, tables)
     for x in (0x42, right(0x42), down(0x42), 0x00, 0xFF):
-        assert precorrect_lookup(faulted, tables, x) == AES_SBOX[x]
+        assert effective[x] == AES_SBOX[x]
+    assert effective == AES_SBOX
+    assert faulted[0x42] == 0x00  # the stored table is left as it was
 
 
 def test_precorrect_table_equivalence(pair, tables):
+    h = np.frombuffer(tables.h, dtype=np.uint8)
+    v = np.frombuffer(tables.v, dtype=np.uint8)
     rng = Rng(15)
     for _ in range(100):
         spec = random_faults(rng.child(rng.u64()), 2)
         faulted = inject(AES_SBOX, spec)
         effective = precorrect_table(faulted, tables)
         assert effective == AES_SBOX
-        for x in range(0, 256, 17):
-            assert precorrect_lookup(faulted, tables, x) == effective[x]
+        # Each lookup is the vote of that entry's four reconstructions.
+        dense, _, _ = _dense_sweep(
+            np.frombuffer(faulted.entries, dtype=np.uint8), h, v)
+        assert effective.entries == dense.tobytes()
 
 
 def test_dc_encrypt_clean_path(pair, tables):
