@@ -67,10 +67,8 @@ from .faults import (
 )
 from .guard import (
     CorrectionReport,
-    DcResult,
     GuardConfig,
     correct,
-    dc_encrypt,
     detect,
     precorrect_table,
 )

@@ -39,16 +39,11 @@ class CipherOptions:
     shift_rows_enabled: with False, both ShiftRows and its inverse become
     the identity.  Byte permutations do not affect the per-byte lookup
     statistics the attack relies on, and disabling them isolates the
-    substitution layer in experiments.  rounds is fixed by the 128-bit
-    key size.
+    substitution layer in experiments.  The round count is not an
+    option: AES-128 always runs NUM_ROUNDS rounds.
     """
 
     shift_rows_enabled: bool = True
-    rounds: int = 10
-
-    def __post_init__(self):
-        if self.rounds != NUM_ROUNDS:
-            raise ValueError("AES-128 always runs 10 rounds")
 
 
 DEFAULT_OPTIONS = CipherOptions()
@@ -130,15 +125,6 @@ def inverse_key_expand(last_round_key: bytes) -> bytes:
             ))
         words[i - 4] = bytes(a ^ b for a, b in zip(words[i], temp))
     return b"".join(words[0:4])
-
-
-def sub_bytes_block(block: bytes, table: SBoxTable = AES_SBOX) -> bytes:
-    """Apply the substitution table to every byte of a block.
-
-    This is also the checkpoint iteration step: detection walks a block
-    through repeated applications of this function alone.
-    """
-    return block.translate(table.entries)
 
 
 def _mix_columns(s: np.ndarray) -> np.ndarray:

@@ -58,10 +58,6 @@ class CiphertextHistogram:
         out.n = self.n + other.n
         return out
 
-    def zero_values(self, position: int) -> list[int]:
-        """Values never observed at this position."""
-        return [int(u) for u in np.flatnonzero(self.counts[position] == 0)]
-
     def csv_rows(self):
         for position in range(BLOCK_SIZE):
             for value in range(256):
@@ -105,11 +101,6 @@ class KeyRecoveryResult:
     confidence: tuple
     confident: tuple
     gap_threshold: int
-
-    def full_key(self) -> bytes | None:
-        if any(b is None for b in self.recovered):
-            return None
-        return bytes(self.recovered)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,10 +14,12 @@ or more drown the vote until surrounding entries have been repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .rng import Rng
-from .sbox import AES_SBOX, SBoxTable, neighbors
+from .sbox import AES_SBOX, NEIGHBORS, SBoxTable
 
 BEST = "best"
 AVERAGE = "average"
@@ -34,7 +36,7 @@ class InvalidFault(ValueError):
     """The fault spec does not describe a real corruption of the table."""
 
 
-class PlacementInfeasible(RuntimeError):
+class PlacementInfeasible(ValueError):
     """Random placement could not satisfy its shape constraint."""
 
 
@@ -89,15 +91,14 @@ def classify_case(spec: FaultSpec) -> str:
     """Repair difficulty of a placement, from grid geometry alone.
 
     The score is the largest number of faulty neighbours any grid cell
-    has.  0 or 1 is the best case (every vote sees at least three sound
-    candidates), 2 is average (an agreeing pair remains), 3 or 4 is the
-    worst case (repair must proceed inward over several sweeps).
+    has, one gather of a faulty-cell mask over sbox.NEIGHBORS.  0 or 1
+    is the best case (every vote sees at least three sound candidates),
+    2 is average (an agreeing pair remains), 3 or 4 is the worst case
+    (repair must proceed inward over several sweeps).
     """
-    faulty = set(spec.indices)
-    worst_count = 0
-    for x in range(256):
-        count = sum(1 for n in neighbors(x) if n in faulty)
-        worst_count = max(worst_count, count)
+    faulty = np.zeros(256, dtype=bool)
+    faulty[list(spec.indices)] = True
+    worst_count = faulty[NEIGHBORS].sum(axis=1).max()
     if worst_count <= 1:
         return BEST
     if worst_count == 2:

@@ -13,8 +13,10 @@ The guard runs before each encryption:
    Each is the entry XOR the syndrome of one of its grid edges (the
    edge's two entries XOR their parity), nonzero only where that check
    fails, so an entry on passing edges only is a fixed point, skipped.
-   One sweep repairs any entry that still has at least two sound votes;
-   denser damage is peeled from the outside in over repeated sweeps.
+   The edges and each entry's four of them are sbox.EDGES and
+   sbox.INCIDENT.  One sweep repairs any entry that still has at least
+   two sound votes; denser damage is peeled from the outside in over
+   repeated sweeps.  Every sweep covers the whole table.
 
 Both steps operate on a working copy; the persistent (possibly faulted)
 storage is never written, mirroring a device that refreshes its RAM
@@ -27,20 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aes import CipherOptions, DEFAULT_OPTIONS, encrypt
-from .sbox import SBoxTable, down, left, right, up
+from .sbox import EDGES, INCIDENT, SBoxTable
 from .sbox_analysis import DetectionPair, RedundantTables
-
-# Parity checks as grid edges, the v edges (x, down(x)) then the h edges
-# (x, right(x)); _INCIDENT holds each entry's edges in candidate order.
-_EDGES = np.array([(x, down(x)) for x in range(256)]
-                  + [(x, right(x)) for x in range(256)]).T
-_INCIDENT = np.array([(up(x), x, 256 + left(x), 256 + x)
-                      for x in range(256)])
-
-
-FULL_TABLE = "full_table"
-SINGLE_ENTRY = "single_entry"
 
 
 @dataclass(frozen=True)
@@ -50,20 +40,16 @@ class GuardConfig:
     max_correction_rounds bounds the vote sweeps per invocation.  The
     default is generous; deployments trade it down (two sweeps already
     repair anything but a dense cluster's core) and accept that a
-    too-dense cluster stays flagged.  single_entry scope restricts
-    writes to caller-specified indices, the cheap end of the correction
-    cost range; full sweeps are the experiment default.
+    too-dense cluster stays flagged.  use_second_checkpoint adds the
+    C_hat comparison to every detect walk.
     """
 
     max_correction_rounds: int = 16
-    scope: str = FULL_TABLE
     use_second_checkpoint: bool = True
 
     def __post_init__(self):
         if self.max_correction_rounds < 1:
             raise ValueError("max_correction_rounds must be at least 1")
-        if self.scope not in (FULL_TABLE, SINGLE_ENTRY):
-            raise ValueError(f"unknown scope {self.scope!r}")
 
 
 DEFAULT_GUARD = GuardConfig()
@@ -100,9 +86,9 @@ def _sweep(entries: np.ndarray, tables: RedundantTables):
     entry on passing edges only votes 4-of-4 for itself and is skipped.
     Returns the voted indices (ascending), winners and resolved mask.
     """
-    ends = entries[_EDGES]
+    ends = entries[EDGES]
     parity = np.frombuffer(tables.v + tables.h, dtype=np.uint8)
-    syndromes = (ends[0] ^ ends[1] ^ parity)[_INCIDENT]
+    syndromes = (ends[0] ^ ends[1] ^ parity)[INCIDENT]
     # An entry's four syndrome bytes read as one word: nonzero iff active.
     active = np.flatnonzero(syndromes.view(np.uint32))
     syndromes = syndromes[active]
@@ -142,25 +128,14 @@ def correct(
     tables: RedundantTables,
     pair: DetectionPair,
     cfg: GuardConfig = DEFAULT_GUARD,
-    indices=None,
 ) -> tuple[SBoxTable, CorrectionReport]:
     """Repair a working copy of the table by repeated vote sweeps.
 
     Sweeps run until the checkpoint walk passes, a sweep changes
     nothing, or the round budget is spent.  Writes within a round are
     simultaneous (every vote reads the same snapshot), so entry order
-    never matters and rounds_used is well defined.  Under single_entry
-    scope only the given indices may be rewritten; the vote still reads
-    the whole table.
+    never matters and rounds_used is well defined.
     """
-    allowed = np.full(256, cfg.scope == FULL_TABLE)
-    if cfg.scope == SINGLE_ENTRY:
-        if indices is None:
-            raise ValueError("single_entry scope needs explicit indices")
-        indices = list(indices)
-        if not all(0 <= x <= 255 for x in indices):
-            raise ValueError(f"indices must lie in 0..255, got {indices}")
-        allowed[indices] = True
     entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
     changed_entries: list[tuple[int, int, int]] = []
     rounds_used = 0
@@ -170,7 +145,7 @@ def correct(
         if converged or rounds_used == cfg.max_correction_rounds:
             break
         active, winner, resolved = _sweep(entries, tables)
-        write = resolved & (winner != entries[active]) & allowed[active]
+        write = resolved & (winner != entries[active])
         rounds_used += 1
         if not write.any():
             break  # the entries stand as detect just rejected them
@@ -200,40 +175,3 @@ def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     entries[active[resolved]] = winner[resolved]
     return SBoxTable(entries.tobytes())
 
-
-@dataclass(frozen=True)
-class DcResult:
-    """Outcome of one guarded encryption."""
-
-    ciphertext: bytes
-    detected: bool
-    report: CorrectionReport
-    table: SBoxTable
-
-
-def dc_encrypt(
-    plaintext: bytes,
-    round_keys: list[bytes],
-    table: SBoxTable,
-    tables: RedundantTables,
-    pair: DetectionPair,
-    cfg: GuardConfig = DEFAULT_GUARD,
-    options: CipherOptions = DEFAULT_OPTIONS,
-) -> DcResult:
-    """Detect, repair if needed, then encrypt with the working table.
-
-    table is the persistent storage as it currently stands; the repair
-    happens on this call's working copy only.  When detection stays
-    quiet the encryption uses the table as-is, no sweep runs, and the
-    report shows zero rounds.
-    """
-    if detect(table, pair, cfg.use_second_checkpoint):
-        working, report = correct(table, tables, pair, cfg)
-        detected = True
-    else:
-        working = table
-        report = CorrectionReport(converged=True, rounds_used=0)
-        detected = False
-    ciphertext = encrypt(plaintext, round_keys, working, options)
-    return DcResult(ciphertext=ciphertext, detected=detected,
-                    report=report, table=working)

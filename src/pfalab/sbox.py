@@ -4,9 +4,18 @@ A table is 256 bytes indexed by the input byte.  For neighbour-based
 repair the table is viewed as a 16x16 grid stored row-major: entry x
 sits at row x >> 4, column x & 0xF.  Neighbour moves wrap around both
 axes (a torus), so every entry has exactly four distinct neighbours.
+
+This is the only module that knows the grid.  The scalar moves
+up/down/left/right define it, and three read-only index arrays are built
+from them once: NEIGHBORS (256, 4), each entry's up, down, left and
+right neighbour; EDGES (2, 512), the v edges (x, down(x)) then the h
+edges (x, right(x)); INCIDENT (256, 4), each entry's four EDGES columns
+in NEIGHBORS order.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class NotAPermutation(ValueError):
@@ -90,8 +99,20 @@ def right(x: int) -> int:
     return (x & 0xF0) | ((x + 1) & 0x0F)
 
 
-def neighbors(x: int) -> tuple[int, int, int, int]:
-    return (up(x), down(x), left(x), right(x))
+def _index_array(rows) -> np.ndarray:
+    # C order: guard._sweep reads each gathered INCIDENT row as one word.
+    array = np.array(rows, dtype=np.intp, order="C")
+    array.setflags(write=False)
+    return array
+
+
+_CELLS = np.arange(256)
+NEIGHBORS = _index_array([(up(x), down(x), left(x), right(x))
+                          for x in range(256)])
+_UP, _DOWN, _LEFT, _RIGHT = NEIGHBORS.T
+EDGES = _index_array((np.tile(_CELLS, 2), np.concatenate((_DOWN, _RIGHT))))
+INCIDENT = _index_array(np.stack((_UP, _CELLS, 256 + _LEFT, 256 + _CELLS),
+                                 axis=1))
 
 
 AES_SBOX = SBoxTable(bytes((

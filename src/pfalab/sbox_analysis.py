@@ -24,7 +24,7 @@ from math import ceil
 
 import numpy as np
 
-from .sbox import NotAPermutation, SBoxTable, down, left, right, up
+from .sbox import EDGES, NotAPermutation, SBoxTable
 
 
 class InfeasibleAllocation(ValueError):
@@ -220,9 +220,11 @@ class RedundantTables:
 
 
 def build_redundant_tables(table: SBoxTable) -> RedundantTables:
-    h = bytes(table[x] ^ table[right(x)] for x in range(256))
-    v = bytes(table[x] ^ table[down(x)] for x in range(256))
-    return RedundantTables(h=h, v=v)
+    """The XOR of each grid edge's two entries: v over the first 256
+    columns of sbox.EDGES, h over the last 256."""
+    ends = np.frombuffer(table.entries, dtype=np.uint8)[EDGES]
+    parity = (ends[0] ^ ends[1]).tobytes()
+    return RedundantTables(h=parity[256:], v=parity[:256])
 
 
 def analyze_table(table: SBoxTable, m: int = 16) -> dict:

@@ -15,10 +15,9 @@ from pfalab.aes import (
     encrypt_blocks,
     inverse_key_expand,
     key_expand,
-    sub_bytes_block,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_INV_SBOX, AES_SBOX, IDENTITY_TABLE
+from pfalab.sbox import AES_INV_SBOX, AES_SBOX
 
 FIPS_KEY = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_PT = block_from_hex("3243f6a8885a308d313198a2e0370734")
@@ -89,13 +88,6 @@ def test_shift_rows_permutation_shape():
     assert sorted(SHIFT_ROWS_PERM) == list(range(16))
 
 
-def test_sub_bytes_block():
-    block = bytes(range(16))
-    expected = bytes(AES_SBOX[b] for b in block)
-    assert sub_bytes_block(block) == expected
-    assert sub_bytes_block(block, IDENTITY_TABLE) == block
-
-
 def test_trace_collects_table_indices():
     trace = set()
     encrypt(FIPS_PT, key_expand(FIPS_KEY), trace=trace)
@@ -146,11 +138,6 @@ def test_batched_matches_scalar_with_faulted_table():
     cts = encrypt_blocks(pts, rk, faulted, options)
     for i in range(64):
         assert bytes(cts[i]) == encrypt(bytes(pts[i]), rk, faulted, options)
-
-
-def test_rounds_option_is_pinned():
-    with pytest.raises(ValueError):
-        CipherOptions(rounds=9)
 
 
 # Golden vectors recorded from the byte-at-a-time reference rounds that

@@ -75,7 +75,7 @@ def test_histogram_merge_and_csv():
 def test_recovery_on_faulted_stream():
     cts, k10, v, v_star = faulted_stream(62, 6000)
     result = recover_key_maxmin(accumulate(cts), v, v_star)
-    assert result.full_key() == k10
+    assert bytes(result.recovered) == k10
     assert all(result.confident)
     assert all(result.recovered[j] in result.candidate_sets[j]
                for j in range(16))
@@ -88,7 +88,7 @@ def test_recovery_refuses_uniform_stream():
     cts, _ = clean_stream(63, 10_000)
     result = recover_key_maxmin(accumulate(cts), 0x42, AES_INV_SBOX[0x00])
     assert result.recovered == (None,) * 16
-    assert result.full_key() is None
+    assert None in result.recovered
     assert not any(result.confident)
 
 
@@ -102,7 +102,8 @@ def test_zero_values_shrink_to_the_missing_one():
     cts, k10, v, _ = faulted_stream(65, 8000)
     hist = accumulate(cts)
     for j in range(16):
-        assert hist.zero_values(j) == [AES_SBOX[v] ^ k10[j]]
+        assert np.flatnonzero(hist.counts[j] == 0).tolist() == \
+            [AES_SBOX[v] ^ k10[j]]
 
 
 def test_eliminate_candidates_converges_to_truth():

@@ -208,6 +208,20 @@ def test_attack_missing_file_is_an_error(tmp_path, capsys):
     assert "missing.txt" in err
 
 
+def test_run_infeasible_scatter_is_an_error(tmp_path, capsys):
+    # Random draws of 24 cells almost never leave every cell with at
+    # most one faulty neighbour; the rejection loop gives up after
+    # 10,000 of them.
+    out = tmp_path / "run"
+    code = main(["run", "--impl", "ori", "--faults", "24", "--trials", "1",
+                 "--n", "100", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: no best-case scatter of 24 faults in 10000 tries"]
+    assert not out.exists()
+
+
 def test_run_unwritable_out_is_an_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -15,7 +15,7 @@ from pfalab.faults import (
     random_faults,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, down, right
+from pfalab.sbox import AES_SBOX, down, left, right, up
 
 
 def spec_at(*cells) -> FaultSpec:
@@ -74,6 +74,30 @@ def test_classify_clusters():
     assert classify_case(spec_at(*block3)) == WORST
     ring = [c for c in block3 if c != 17]
     assert classify_case(spec_at(*ring)) == WORST
+
+
+def _reference_class(cells):
+    """The case class, counted cell by cell from the scalar moves."""
+    faulty = set(cells)
+    worst = max(sum(n in faulty for n in (up(x), down(x), left(x), right(x)))
+                for x in range(256))
+    return BEST if worst <= 1 else AVERAGE if worst == 2 else WORST
+
+
+def test_classify_every_pair_with_the_origin():
+    for y in range(1, 256):
+        assert classify_case(spec_at(0x00, y)) == _reference_class((0x00, y))
+
+
+def test_classify_every_subset_of_the_origin_block():
+    block3 = [16 * r + c for r in range(3) for c in range(3)]
+    seen = set()
+    for mask in range(1, 1 << 9):
+        cells = [x for i, x in enumerate(block3) if mask >> i & 1]
+        want = _reference_class(cells)
+        assert classify_case(spec_at(*cells)) == want, cells
+        seen.add(want)
+    assert seen == {BEST, AVERAGE, WORST}
 
 
 def test_classify_is_translation_invariant():

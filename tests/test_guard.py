@@ -3,7 +3,6 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from pfalab.aes import BLOCK_SIZE, encrypt, key_expand
 from pfalab.faults import (
     BIT_FLIP,
     CLUSTERED,
@@ -13,13 +12,10 @@ from pfalab.faults import (
     random_faults,
 )
 from pfalab.guard import (
-    FULL_TABLE,
-    SINGLE_ENTRY,
     CorrectionReport,
     GuardConfig,
     _sweep,
     correct,
-    dc_encrypt,
     detect,
     precorrect_table,
 )
@@ -139,35 +135,8 @@ def test_sweep_never_corrupts_best_case(pair, tables):
 def test_guard_config_validation():
     with pytest.raises(ValueError):
         GuardConfig(max_correction_rounds=0)
-    with pytest.raises(ValueError):
-        GuardConfig(scope="everything")
-    assert GuardConfig().scope == FULL_TABLE
     assert GuardConfig().max_correction_rounds == 16
     assert GuardConfig().use_second_checkpoint is True
-
-
-def test_single_entry_scope(pair, tables):
-    spec = FaultSpec(((0x42, 0x00), (0x99, 0x01)))
-    faulted = inject(AES_SBOX, spec)
-    cfg = GuardConfig(scope=SINGLE_ENTRY)
-    with pytest.raises(ValueError):
-        correct(faulted, tables, pair, cfg)
-    fixed, report = correct(faulted, tables, pair, cfg, indices=(0x42,))
-    assert fixed[0x42] == AES_SBOX[0x42]
-    assert fixed[0x99] == 0x01
-    assert all(x == 0x42 for x, _, _ in report.changed_entries)
-    assert not report.converged  # the other fault still trips detection
-
-
-@pytest.mark.parametrize("bad", [(-1,), (256,), (0x42, 300)])
-def test_single_entry_scope_rejects_out_of_range_indices(pair, tables, bad):
-    faulted = inject(AES_SBOX, FaultSpec(((0xFF, 0x00),)))
-    cfg = GuardConfig(scope=SINGLE_ENTRY)
-    with pytest.raises(ValueError, match=r"0\.\.255"):
-        correct(faulted, tables, pair, cfg, indices=bad)
-    fixed, report = correct(faulted, tables, pair, cfg, indices=(0, 0xFF))
-    assert fixed == AES_SBOX
-    assert report.converged
 
 
 def test_correction_report_json_shape():
@@ -206,31 +175,6 @@ def test_precorrect_table_equivalence(pair, tables):
         assert effective.entries == dense.tobytes()
 
 
-def test_dc_encrypt_clean_path(pair, tables):
-    rng = Rng(16)
-    key = rng.randbytes(BLOCK_SIZE)
-    pt = rng.randbytes(BLOCK_SIZE)
-    rk = key_expand(key)
-    result = dc_encrypt(pt, rk, AES_SBOX, tables, pair)
-    assert result.ciphertext == encrypt(pt, rk)
-    assert result.detected is False
-    assert result.report.rounds_used == 0
-    assert result.report.converged
-
-
-def test_dc_encrypt_repairs_then_encrypts(pair, tables):
-    rng = Rng(17)
-    key = rng.randbytes(BLOCK_SIZE)
-    pt = rng.randbytes(BLOCK_SIZE)
-    rk = key_expand(key)
-    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    result = dc_encrypt(pt, rk, faulted, tables, pair)
-    assert result.detected is True
-    assert result.report.converged
-    assert result.table == AES_SBOX
-    assert result.ciphertext == encrypt(pt, rk)
-
-
 # Reference sweep for the oracle test: every entry builds its four
 # candidates from the neighbours directly and votes, with no syndromes.
 _UP = np.array([up(x) for x in range(256)], dtype=np.intp)
@@ -259,15 +203,11 @@ def _dense_sweep(entries, h, v):
     return new, resolved & (new != entries), ~resolved
 
 
-def _oracle_correct(table, tables, pair, cfg, indices):
+def _oracle_correct(table, tables, pair, cfg):
     """correct() over _dense_sweep, plus the snapshot each write read."""
     entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
     h = np.frombuffer(tables.h, dtype=np.uint8)
     v = np.frombuffer(tables.v, dtype=np.uint8)
-    allowed = None
-    if cfg.scope == SINGLE_ENTRY:
-        allowed = np.zeros(256, dtype=bool)
-        allowed[list(indices)] = True
     changed_entries, snapshots = [], []
     rounds_used = 0
     for _ in range(cfg.max_correction_rounds):
@@ -275,9 +215,6 @@ def _oracle_correct(table, tables, pair, cfg, indices):
         if not detect(working, pair, cfg.use_second_checkpoint):
             break
         new, changed, _ = _dense_sweep(entries, h, v)
-        if allowed is not None:
-            new = np.where(allowed, new, entries)
-            changed &= allowed
         rounds_used += 1
         for x in np.flatnonzero(changed):
             changed_entries.append((int(x), int(entries[x]), int(new[x])))
@@ -304,8 +241,7 @@ def _on_failing_edge(table, tables, x):
 
 
 def _oracle_cases():
-    """200 scattered and clustered fault sets of 2 to 255 entries, each
-    with a set of indices for single_entry scope."""
+    """200 scattered and clustered fault sets of 2 to 255 entries."""
     rng = Rng(18)
     for k in (2, 9, 25, 64, 255):
         for i in range(40):
@@ -317,25 +253,24 @@ def _oracle_cases():
                 spec = FaultSpec(tuple(
                     (x, AES_SBOX[x] ^ (1 + rng.randrange(255)))
                     for x in rng.sample_distinct(256, k)))
-            indices = rng.sample_distinct(256, 1 + rng.randrange(64))
-            yield i, inject(AES_SBOX, spec), indices
+            # An unused draw, kept so that the later seeded cases stay fixed.
+            rng.sample_distinct(256, 1 + rng.randrange(64))
+            yield i, inject(AES_SBOX, spec)
 
 
 def test_syndrome_sweep_matches_dense_oracle(pair, tables):
     h = np.frombuffer(tables.h, dtype=np.uint8)
     v = np.frombuffer(tables.v, dtype=np.uint8)
-    for i, faulted, indices in _oracle_cases():
+    for i, faulted in _oracle_cases():
         dense, _, _ = _dense_sweep(
             np.frombuffer(faulted.entries, dtype=np.uint8), h, v)
         assert precorrect_table(faulted, tables).entries == dense.tobytes()
-        rounds, second = (1, 2, 16)[i % 3], i % 4 < 2
-        for cfg in (GuardConfig(rounds, FULL_TABLE, second),
-                    GuardConfig(rounds, SINGLE_ENTRY, second)):
-            fixed, report = correct(faulted, tables, pair, cfg, indices)
-            want_fixed, want, snapshots = _oracle_correct(
-                faulted, tables, pair, cfg, indices)
-            assert (fixed, report) == (want_fixed, want)
-            for (x, _, _), snapshot in zip(report.changed_entries, snapshots):
-                assert _on_failing_edge(snapshot, tables, x)
-            for x in report.unresolved:
-                assert _on_failing_edge(fixed, tables, x)
+        cfg = GuardConfig((1, 2, 16)[i % 3], i % 4 < 2)
+        fixed, report = correct(faulted, tables, pair, cfg)
+        want_fixed, want, snapshots = _oracle_correct(
+            faulted, tables, pair, cfg)
+        assert (fixed, report) == (want_fixed, want)
+        for (x, _, _), snapshot in zip(report.changed_entries, snapshots):
+            assert _on_failing_edge(snapshot, tables, x)
+        for x in report.unresolved:
+            assert _on_failing_edge(fixed, tables, x)

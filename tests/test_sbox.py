@@ -3,12 +3,14 @@ import pytest
 from pfalab.sbox import (
     AES_INV_SBOX,
     AES_SBOX,
+    EDGES,
     IDENTITY_TABLE,
+    INCIDENT,
+    NEIGHBORS,
     NotAPermutation,
     SBoxTable,
     down,
     left,
-    neighbors,
     right,
     up,
 )
@@ -88,5 +90,21 @@ def test_grid_moves_are_inverse_pairs():
 
 
 def test_neighbors_order():
+    assert NEIGHBORS.shape == (256, 4)
     for x in range(256):
-        assert neighbors(x) == (up(x), down(x), left(x), right(x))
+        assert NEIGHBORS[x].tolist() == [up(x), down(x), left(x), right(x)]
+
+
+def test_edges_and_incidence_follow_the_scalar_moves():
+    assert EDGES.shape == (2, 512)
+    assert INCIDENT.shape == (256, 4)
+    for x in range(256):
+        assert EDGES[:, x].tolist() == [x, down(x)]
+        assert EDGES[:, 256 + x].tolist() == [x, right(x)]
+        assert INCIDENT[x].tolist() == [up(x), x, 256 + left(x), 256 + x]
+        # Each incident edge joins x to the neighbour in the same slot.
+        for slot, edge in enumerate(INCIDENT[x]):
+            assert sorted(EDGES[:, edge]) == sorted((x, NEIGHBORS[x, slot]))
+    assert INCIDENT.flags["C_CONTIGUOUS"]
+    for array in (NEIGHBORS, EDGES, INCIDENT):
+        assert not array.flags.writeable
