@@ -159,8 +159,11 @@ class ExperimentConfig:
         if not 0 <= self.curve_trials <= self.n_trials:
             raise ConfigError("curve_trials must be in 0..n_trials")
         positions = tuple(self.curve_positions)
-        if any(not 0 <= p < BLOCK_SIZE for p in positions):
-            raise ConfigError("curve positions must be in 0..15")
+        # Curve rows are formatted once for CSV and JSON, which agree on
+        # int cells only: a bool or numpy position would print apart.
+        if any(type(p) is not int or not 0 <= p < BLOCK_SIZE
+               for p in positions):
+            raise ConfigError("curve positions must be integers in 0..15")
         object.__setattr__(self, "curve_positions", positions)
         if self.curve_grid < 1:
             raise ConfigError("curve_grid must be positive")
@@ -257,19 +260,24 @@ def _redundant_tables():
 
 
 def _curve_rows(public: np.ndarray, positions, grid_step: int) -> list:
-    """Running per-value frequency estimates over the emitted stream."""
+    """Running per-value frequency estimates over the emitted stream.
+
+    One [position, value, n, count / n] row per value at every grid point
+    n.  The float64 division is correctly rounded, as Python's int / int
+    is, so the probabilities equal the exact-integer ones.
+    """
+    points = np.arange(grid_step, public.shape[0] + 1, grid_step)
+    segment = np.repeat(np.arange(points.size), grid_step)
     rows = []
-    n = public.shape[0]
     for position in positions:
-        column = public[:, position]
-        counts = np.zeros(256, dtype=np.int64)
-        prev = 0
-        for n_seen in range(grid_step, n + 1, grid_step):
-            counts += np.bincount(column[prev:n_seen], minlength=256)
-            prev = n_seen
-            for value in range(256):
-                rows.append([position, value, n_seen,
-                             int(counts[value]) / n_seen])
+        counts = np.bincount(segment * 256 + public[:segment.size, position],
+                             minlength=points.size * 256)
+        counts = counts.reshape(points.size, 256).cumsum(axis=0)
+        for n_seen, probabilities in zip(points.tolist(),
+                                         counts / points[:, None]):
+            rows.extend([position, value, n_seen, probability]
+                        for value, probability
+                        in enumerate(probabilities.tolist()))
     return rows
 
 
@@ -387,14 +395,50 @@ def emit_table3(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CURVES_HEADER = "trial,position,value,n,probability\n"
+
+
+def _curve_body(rows) -> str:
+    """The rows as position,value,n,probability lines, formatted once.
+
+    Rows of one grid point share their position and n, and most of their
+    probabilities, so each of its distinct probabilities is repr'd once
+    and its lines are joined into one chunk.
+    """
+    chunks, lines = [], []
+    point = None
+    for position, value, n_seen, probability in rows:
+        if (position, n_seen) != point:
+            chunks.append("".join(lines))
+            lines, tails = [], {}
+            point = (position, n_seen)
+            head = f"{position},"
+        tail = tails.get(probability)
+        if tail is None:
+            tail = tails[probability] = f",{n_seen},{probability!r}\n"
+        lines.append(f"{head}{value}{tail}")
+    chunks.append("".join(lines))
+    return "".join(chunks)
+
+
+def _csv_lines(trial, body: str) -> str:
+    """curves.csv lines of one tracked trial: its body, trial first."""
+    prefix = f"{trial},"
+    return (prefix + body.replace("\n", "\n" + prefix))[:-len(prefix)]
+
+
+def _json_rows(body: str) -> str:
+    """The canonical JSON of the rows a body was formatted from."""
+    if not body:
+        return "[]"
+    return "[[" + body[:-1].replace("\n", "],[") + "]]"
+
+
 def emit_distribution_curves(records) -> str:
     """Per-value running frequencies for the curve-tracked trials."""
-    lines = ["trial,position,value,n,probability"]
-    for record in records:
-        for position, value, n_seen, probability in record.get("curves", ()):
-            lines.append(
-                f"{record['trial']},{position},{value},{n_seen},{probability}")
-    return "\n".join(lines) + "\n"
+    return _CURVES_HEADER + "".join(
+        _csv_lines(record["trial"], _curve_body(record["curves"]))
+        for record in records if "curves" in record)
 
 
 def summarize(records) -> str:
@@ -419,14 +463,24 @@ def render_files(result: ExperimentResult) -> dict:
     """The run directory's contents as filename -> text.
 
     Byte-for-byte reproducible: identical configs yield identical file
-    contents, which `--check` relies on.
+    contents, which `--check` relies on.  A tracked record's curve rows
+    are formatted once, and both its curves.csv lines and its record
+    line's "curves" value are cut from that text.
     """
-    records_text = "".join(
-        _canonical_json(record) + "\n" for record in result.records)
+    records, curves = [], [_CURVES_HEADER]
+    for record in result.records:
+        if "curves" not in record:
+            records.append(_canonical_json(record) + "\n")
+            continue
+        body = _curve_body(record["curves"])
+        curves.append(_csv_lines(record["trial"], body))
+        line = _canonical_json({**record, "curves": None})
+        records.append(line.replace('"curves":null',
+                                    '"curves":' + _json_rows(body), 1) + "\n")
     return {
         "config.json": _canonical_json(result.config.to_json_dict()) + "\n",
-        "records.jsonl": records_text,
-        "curves.csv": result.curves_csv(),
+        "records.jsonl": "".join(records),
+        "curves.csv": "".join(curves),
         "table3.csv": result.table3_csv(),
     }
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pfalab import cli, experiment
 from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
 from pfalab.cli import main
 from pfalab.faults import FaultSpec, inject
@@ -61,6 +63,42 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert config["implementation"] == "ori"
     assert config["n_ciphertexts"] == 400
     assert config["seed"] == 9
+
+
+def test_run_check_renders_each_result_once(tmp_path, capsys, monkeypatch):
+    renders = []
+    render = experiment.render_files
+
+    def counting_render(result):
+        renders.append(result)
+        return render(result)
+
+    monkeypatch.setattr(experiment, "render_files", counting_render)
+    monkeypatch.setattr(cli, "render_files", counting_render)
+    # Two tracked trials, and NCO drops blocks, so the last grid segment
+    # of the emitted stream is partial.
+    argv = ["run", "--impl", "dmr", "--dmr-defense", "nco", "--trials", "3",
+            "--n", "250", "--curve-trials", "2", "--check"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.endswith(
+        "check passed: rerun reproduced all files\n")
+    assert len(renders) == 2
+
+    runs = []
+
+    def tampered_rerun(config):
+        result = experiment.run_experiment(config)
+        if runs:
+            row = result.records[1]["curves"][-1]
+            row[3] = math.nextafter(row[3], 2.0)
+        runs.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "run_experiment", tampered_rerun)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 2
+    captured = capsys.readouterr()
+    assert "check passed" not in captured.out
+    assert captured.err == "check failed: rerun produced different files\n"
 
 
 def test_run_rejects_bad_flags(tmp_path, capsys):

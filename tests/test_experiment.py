@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+from pfalab import experiment
 from pfalab.classic import MODULE_ONE_ONLY, NCO, RCO, SHARED
 from pfalab.experiment import (
     ConfigError,
     ExperimentConfig,
+    emit_distribution_curves,
     emit_table3,
     render_files,
     run_experiment,
@@ -38,6 +41,8 @@ def test_config_validation():
         ExperimentConfig(implementation="ori", key_hex="zz")
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", curve_positions=(16,))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(implementation="ori", curve_positions=(True,))
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", n_trials=2, curve_trials=3)
     with pytest.raises(ConfigError):
@@ -107,6 +112,91 @@ def test_curves_only_on_tracked_trials():
             bucket = [r for r in rows if r[0] == position and r[2] == n_seen]
             assert len(bucket) == 256
             assert sum(r[3] for r in bucket) == pytest.approx(1.0)
+
+
+def _digests(result):
+    files = render_files(result)
+    assert files["curves.csv"] == result.curves_csv()
+    assert files["curves.csv"] == emit_distribution_curves(result.records)
+    return tuple(hashlib.sha256(files[name].encode()).hexdigest()
+                 for name in ("records.jsonl", "curves.csv"))
+
+
+# SHA-256 of records.jsonl and curves.csv as the per-row formatter wrote
+# them before curve rows were formatted once for both files.
+GOLDEN = {
+    "two_tracked_positions": (
+        dict(curve_trials=2, curve_positions=(0, 7)),
+        "2414ffca8d4cc7a314f57f420b6bdf1c74f7c5e7b291ef03e7e296dded8b5c95",
+        "3aa47e855a8570b54efdcfc4ddfb59eb2ebe706a6d214ef73650842726f84b67"),
+    "dmr_nco_partial_grid": (
+        dict(implementation="dmr", dmr_defense=NCO, curve_trials=2),
+        "cc18c8e6f2cd85f28c906d1ade3fcd420ac0730bceeab1536bcc60f5c25af2b7",
+        "6fe0aa3781c78a3ee611bc6135aa1ec9b064ee075ac75b0409788a88e61154b2"),
+    "stream_below_grid": (
+        dict(n_ciphertexts=150),
+        "a1ee50e743beb3eff7b8b51e608d4eaddc15944b615c2f564224281bf17084db",
+        "fd70025648cb285ac3c73a54e1d35140b8d4114627e2c4b05a5a671e30ae784d"),
+    "untracked": (
+        dict(curve_trials=0),
+        "cdd5828ad3f8b84de549f4689fb3f70c7f2ec852aea74521e1ca5aa18d036942",
+        "fd70025648cb285ac3c73a54e1d35140b8d4114627e2c4b05a5a671e30ae784d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(case):
+    overrides, records_sha, curves_sha = GOLDEN[case]
+    result = run_experiment(small(**overrides))
+    if case == "dmr_nco_partial_grid":
+        assert all(r["n_emitted"] % 200 for r in result.records[:2])
+    if case == "stream_below_grid":
+        assert result.records[0]["curves"] == []
+    assert _digests(result) == (records_sha, curves_sha)
+
+
+def test_exponent_probabilities_match_golden_digests():
+    # Emitted values are near uniform, so no run at a feasible n prints
+    # a probability below 1e-4; hand-made rows at n = 1e6 and 3e6 do.
+    result = run_experiment(small(n_trials=2))
+    result.records[0]["curves"] = [
+        [3, value, n, count / n] for n in (1_000_000, 3_000_000)
+        for value, count in enumerate((0, 1, 3, 7, 99, 100, 12345, n - 1, n))]
+    assert "1e-06" in result.curves_csv()
+    assert _digests(result) == (
+        "839b1a1c0fd1a79abaa1106aeebb7046e68753635d5f2b755a8daaf7a12e798b",
+        "8665053f615f38ceb78befa3fcfc84544450b0a350ebbb86e156f0be8b00a5ca")
+
+
+def test_curve_probabilities_are_exact_integer_ratios(monkeypatch):
+    # Capture each trial's emitted stream as run_trial encrypts it.
+    streams = []
+    encrypt = experiment.encrypt_blocks
+
+    def capture(*args):
+        streams.append(encrypt(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(experiment, "encrypt_blocks", capture)
+    config = small(n_ciphertexts=1000, curve_trials=2, curve_positions=(0, 9),
+                   curve_grid=100)
+    result = run_experiment(config)
+    expected = ["trial,position,value,n,probability"]
+    for trial in range(config.curve_trials):
+        for position in config.curve_positions:
+            counts = [0] * 256
+            column = streams[trial][:, position].tolist()
+            for n_seen, byte in enumerate(column, 1):
+                counts[byte] += 1
+                if n_seen % config.curve_grid == 0:
+                    expected += (f"{trial},{position},{value},{n_seen},"
+                                 f"{count / n_seen!r}"
+                                 for value, count in enumerate(counts))
+    lines = render_files(result)["curves.csv"].splitlines()
+    assert lines == expected
+    rows = [line.split(",", 1)[1] for line in lines[1:]]
+    assert rows == [",".join(map(repr, row)) for record in result.records
+                    for row in record.get("curves", ())]
 
 
 def test_table3_statistics_and_na():
