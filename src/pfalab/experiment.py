@@ -152,8 +152,8 @@ class ExperimentConfig:
             object.__setattr__(self, "fault_scope", scope)
         elif self.fault_scope not in (MODULE_ONE_ONLY, SHARED):
             raise ConfigError(f"unknown fault_scope {self.fault_scope!r}")
-        if self.dc_max_rounds < 1:
-            raise ConfigError("dc_max_rounds must be at least 1")
+        if type(self.dc_max_rounds) is not int or self.dc_max_rounds < 1:
+            raise ConfigError("dc_max_rounds must be an int of at least 1")
         if self.gap_threshold < 1:
             raise ConfigError("gap_threshold must be at least 1")
         if not 0 <= self.curve_trials <= self.n_trials:

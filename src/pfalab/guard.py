@@ -12,11 +12,13 @@ The guard runs before each encryption:
    the four neighbour reconstructions offered by the parity tables.
    Each is the entry XOR the syndrome of one of its grid edges (the
    edge's two entries XOR their parity), nonzero only where that check
-   fails, so an entry on passing edges only is a fixed point, skipped.
-   The edges and each entry's four of them are sbox.EDGES and
-   sbox.INCIDENT.  One sweep repairs any entry that still has at least
-   two sound votes; denser damage is peeled from the outside in over
-   repeated sweeps.  Every sweep covers the whole table.
+   fails, so an entry on passing edges only is a fixed point.  A sweep
+   votes all 256 entries at once as the byte lanes of one 2048-bit int
+   (sbox.to_lanes): the syndromes come from the sbox lane moves, and
+   the comparisons, the vote and the write are whole-int bit operations.
+   One sweep repairs any entry that still has at least two sound votes;
+   denser damage is peeled from the outside in over repeated sweeps.
+   Every sweep covers the whole table.
 
 Both steps operate on a working copy; the persistent (possibly faulted)
 storage is never written, mirroring a device that refreshes its RAM
@@ -27,9 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .sbox import EDGES, INCIDENT, SBoxTable
+from .sbox import (
+    SBoxTable,
+    from_lanes,
+    lanes_down,
+    lanes_left,
+    lanes_right,
+    lanes_up,
+    to_lanes,
+)
 from .sbox_analysis import DetectionPair, RedundantTables
 
 
@@ -48,8 +56,12 @@ class GuardConfig:
     use_second_checkpoint: bool = True
 
     def __post_init__(self):
-        if self.max_correction_rounds < 1:
-            raise ValueError("max_correction_rounds must be at least 1")
+        # correct() stops when the sweep count equals the budget, which
+        # a fractional budget never does; a bool is not a count.
+        if (type(self.max_correction_rounds) is not int
+                or self.max_correction_rounds < 1):
+            raise ValueError("max_correction_rounds must be an int of at "
+                             "least 1")
 
 
 DEFAULT_GUARD = GuardConfig()
@@ -71,32 +83,68 @@ def detect(
     return False
 
 
-# A vote resolves to the unique value holding at least two of the four
-# candidates; a 2-2 tie or four distinct values stay unresolved.  By the
-# number of agreeing candidate pairs: 1 (2-1-1), 3 (3-1) and 6 (4-0)
-# leave one majority; 0 and 2 (2-2) do not; 4 and 5 cannot occur.
-_PAIR_I, _PAIR_J = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
-_RESOLVED_BY_AGREEING_PAIRS = np.array([0, 1, 0, 1, 0, 0, 1], dtype=bool)
+# Byte-lane constants: bit 7, and bits 0-6, of every lane.
+_HIGH = int.from_bytes(b"\x80" * 256, "little")
+_LOW7 = int.from_bytes(b"\x7f" * 256, "little")
 
 
-def _sweep(entries: np.ndarray, tables: RedundantTables):
-    """One simultaneous vote over the entries on a failing parity check.
+def _zero_lanes(lanes: int) -> int:
+    """Bit 7 set in each zero lane.  (z & 0x7F) + 0x7F carries into bit
+    7 exactly when bits 0-6 are not all zero and never past it."""
+    return _HIGH & ~(((lanes & _LOW7) + _LOW7) | lanes)
 
-    Candidates are the entry XOR the syndromes of its four edges, so an
-    entry on passing edges only votes 4-of-4 for itself and is skipped.
-    Returns the voted indices (ascending), winners and resolved mask.
+
+def _widen(high: int) -> int:
+    """A bit-7 lane mask widened to 0xFF in each of its lanes."""
+    return (high >> 7) * 0xFF
+
+
+def _lanes_of(high: int) -> list[int]:
+    """The set lanes of a bit-7 lane mask, ascending.  One find per set
+    lane: faults are sparse, and a numpy call costs several finds."""
+    lanes = from_lanes(high)
+    found = []
+    x = lanes.find(0x80)
+    while x >= 0:
+        found.append(x)
+        x = lanes.find(0x80, x + 1)
+    return found
+
+
+def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
+    """One simultaneous vote over all 256 entries of a lane int.
+
+    Each entry's candidates are the entry XOR the syndromes s0..s3 of its
+    up, down, left and right edges.  A vote resolves to the unique value
+    holding at least two of the four; a 2-2 tie or four distinct values
+    stay unresolved.  By the number of agreeing candidate pairs: 1
+    (2-1-1), 3 (3-1) and 6 (4-0) leave one majority, 0 and 2 (2-2) do
+    not, and 4 and 5 cannot occur.  An entry on passing edges only votes
+    4-of-4 for itself.  v and h are the parity tables as lane ints.
+    Returns (delta, unresolved): lanes ^ delta is the voted table, and
+    unresolved has bit 7 set where a vote cannot decide.
     """
-    ends = entries[EDGES]
-    parity = np.frombuffer(tables.v + tables.h, dtype=np.uint8)
-    syndromes = (ends[0] ^ ends[1] ^ parity)[INCIDENT]
-    # An entry's four syndrome bytes read as one word: nonzero iff active.
-    active = np.flatnonzero(syndromes.view(np.uint32))
-    syndromes = syndromes[active]
-    agree = syndromes[:, _PAIR_I] == syndromes[:, _PAIR_J]
-    # Every agreeing pair of a resolved vote lies in its majority.
-    winner = syndromes[np.arange(active.size), _PAIR_I[agree.argmax(axis=1)]]
-    return (active, entries[active] ^ winner,
-            _RESOLVED_BY_AGREEING_PAIRS[agree.sum(axis=1)])
+    sv = lanes ^ lanes_down(lanes) ^ v
+    sh = lanes ^ lanes_right(lanes) ^ h
+    if not sv | sh:
+        return 0, 0
+    s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
+    # eij: candidates i and j agree.
+    e01 = _zero_lanes(s0 ^ s1)
+    e02 = _zero_lanes(s0 ^ s2)
+    e03 = _zero_lanes(s0 ^ s3)
+    e12 = _zero_lanes(s1 ^ s2)
+    e13 = _zero_lanes(s1 ^ s3)
+    e23 = _zero_lanes(s2 ^ s3)
+    # An odd count of agreeing pairs (1 or 3), or all six.
+    resolved = (e01 ^ e02 ^ e03 ^ e12 ^ e13 ^ e23) | (e01 & e02 & e03)
+    # Every agreeing pair of a resolved vote lies in its majority, so the
+    # first member of the first agreeing pair wins.
+    pick0 = e01 | e02 | e03
+    pick1 = _widen((e12 | e13) & ~pick0)
+    pick0 = _widen(pick0)
+    winner = (s0 & pick0) | (s1 & pick1) | (s2 & ~(pick0 | pick1))
+    return winner & _widen(resolved), _HIGH & ~resolved
 
 
 @dataclass(frozen=True)
@@ -136,30 +184,31 @@ def correct(
     simultaneous (every vote reads the same snapshot), so entry order
     never matters and rounds_used is well defined.
     """
-    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
+    working = table
+    lanes = to_lanes(table.entries)
+    v, h = to_lanes(tables.v), to_lanes(tables.h)
     changed_entries: list[tuple[int, int, int]] = []
     rounds_used = 0
     while True:
-        converged = not detect(SBoxTable(entries.tobytes()), pair,
-                               cfg.use_second_checkpoint)
+        converged = not detect(working, pair, cfg.use_second_checkpoint)
         if converged or rounds_used == cfg.max_correction_rounds:
+            # Unresolved is assessed on the final state so that converged
+            # (clean detect) always implies an empty list.
+            unresolved = _vote(lanes, v, h)[1]
             break
-        active, winner, resolved = _sweep(entries, tables)
-        write = resolved & (winner != entries[active])
+        delta, unresolved = _vote(lanes, v, h)
         rounds_used += 1
-        if not write.any():
+        if not delta:
             break  # the entries stand as detect just rejected them
-        cells = active[write]
-        changed_entries += zip(cells.tolist(), entries[cells].tolist(),
-                               winner[write].tolist())
-        entries[cells] = winner[write]
-    # Unresolved is assessed on the final state so that converged
-    # (clean detect) always implies an empty list.
-    active, _, resolved = _sweep(entries, tables)
-    return SBoxTable(entries.tobytes()), CorrectionReport(
+        old = working.entries
+        lanes ^= delta
+        working = SBoxTable(from_lanes(lanes))
+        changed_entries += [(x, old[x], working.entries[x])
+                            for x in _lanes_of(_HIGH ^ _zero_lanes(delta))]
+    return working, CorrectionReport(
         converged=converged, rounds_used=rounds_used,
         changed_entries=tuple(changed_entries),
-        unresolved=tuple(active[~resolved].tolist()))
+        unresolved=tuple(_lanes_of(unresolved)))
 
 
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
@@ -170,8 +219,6 @@ def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     encryption, at four lookups and three XORs per table read.  An
     unresolved vote keeps the stored entry.
     """
-    entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
-    active, winner, resolved = _sweep(entries, tables)
-    entries[active[resolved]] = winner[resolved]
-    return SBoxTable(entries.tobytes())
-
+    lanes = to_lanes(table.entries)
+    delta, _ = _vote(lanes, to_lanes(tables.v), to_lanes(tables.h))
+    return SBoxTable(from_lanes(lanes ^ delta))

@@ -6,11 +6,12 @@ sits at row x >> 4, column x & 0xF.  Neighbour moves wrap around both
 axes (a torus), so every entry has exactly four distinct neighbours.
 
 This is the only module that knows the grid.  The scalar moves
-up/down/left/right define it, and three read-only index arrays are built
-from them once: NEIGHBORS (256, 4), each entry's up, down, left and
-right neighbour; EDGES (2, 512), the v edges (x, down(x)) then the h
-edges (x, right(x)); INCIDENT (256, 4), each entry's four EDGES columns
-in NEIGHBORS order.
+up/down/left/right define it.  NEIGHBORS (256, 4) is a read-only index
+array of each entry's up, down, left and right neighbour.  The lane
+moves lanes_up/lanes_down/lanes_left/lanes_right apply the same moves to
+a whole table at once, read by to_lanes as one 2048-bit int whose byte
+lane x holds entry x: lane x of lanes_up(t) holds lane up(x) of t, and
+so on.
 """
 
 from __future__ import annotations
@@ -99,20 +100,47 @@ def right(x: int) -> int:
     return (x & 0xF0) | ((x + 1) & 0x0F)
 
 
-def _index_array(rows) -> np.ndarray:
-    # C order: guard._sweep reads each gathered INCIDENT row as one word.
-    array = np.array(rows, dtype=np.intp, order="C")
-    array.setflags(write=False)
-    return array
+NEIGHBORS = np.array([(up(x), down(x), left(x), right(x))
+                      for x in range(256)], dtype=np.intp)
+NEIGHBORS.setflags(write=False)
 
 
-_CELLS = np.arange(256)
-NEIGHBORS = _index_array([(up(x), down(x), left(x), right(x))
-                          for x in range(256)])
-_UP, _DOWN, _LEFT, _RIGHT = NEIGHBORS.T
-EDGES = _index_array((np.tile(_CELLS, 2), np.concatenate((_DOWN, _RIGHT))))
-INCIDENT = _index_array(np.stack((_UP, _CELLS, 256 + _LEFT, 256 + _CELLS),
-                                 axis=1))
+# Lane x of a lane int is bits 8x..8x+7, so grid row r is the 128 bits
+# from 128r: a row move is a 128-bit rotation of the whole int, and a
+# column move an 8-bit rotation within each row.
+_FIRST_ROW = (1 << 128) - 1
+_FIRST_15_ROWS = (1 << 1920) - 1
+_FIRST_COLUMN = sum(0xFF << 128 * r for r in range(16))
+_ALL_BUT_FIRST_COLUMN = (1 << 2048) - 1 - _FIRST_COLUMN
+_ALL_BUT_LAST_COLUMN = (1 << 2048) - 1 - (_FIRST_COLUMN << 120)
+
+
+def to_lanes(entries: bytes) -> int:
+    """256 entries as one int, entry x in byte lane x."""
+    return int.from_bytes(entries, "little")
+
+
+def from_lanes(lanes: int) -> bytes:
+    """The 256 entries of a lane int, inverse of to_lanes."""
+    return lanes.to_bytes(256, "little")
+
+
+def lanes_up(lanes: int) -> int:
+    return ((lanes & _FIRST_15_ROWS) << 128) | (lanes >> 1920)
+
+
+def lanes_down(lanes: int) -> int:
+    return (lanes >> 128) | ((lanes & _FIRST_ROW) << 1920)
+
+
+def lanes_left(lanes: int) -> int:
+    return (((lanes << 8) & _ALL_BUT_FIRST_COLUMN)
+            | ((lanes >> 120) & _FIRST_COLUMN))
+
+
+def lanes_right(lanes: int) -> int:
+    return (((lanes >> 8) & _ALL_BUT_LAST_COLUMN)
+            | ((lanes & _FIRST_COLUMN) << 120))
 
 
 AES_SBOX = SBoxTable(bytes((

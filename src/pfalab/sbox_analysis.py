@@ -24,7 +24,14 @@ from math import ceil
 
 import numpy as np
 
-from .sbox import EDGES, NotAPermutation, SBoxTable
+from .sbox import (
+    NotAPermutation,
+    SBoxTable,
+    from_lanes,
+    lanes_down,
+    lanes_right,
+    to_lanes,
+)
 
 
 class InfeasibleAllocation(ValueError):
@@ -220,11 +227,11 @@ class RedundantTables:
 
 
 def build_redundant_tables(table: SBoxTable) -> RedundantTables:
-    """The XOR of each grid edge's two entries: v over the first 256
-    columns of sbox.EDGES, h over the last 256."""
-    ends = np.frombuffer(table.entries, dtype=np.uint8)[EDGES]
-    parity = (ends[0] ^ ends[1]).tobytes()
-    return RedundantTables(h=parity[256:], v=parity[:256])
+    """The XOR of each grid edge's two entries, all 256 at once as lane
+    ints."""
+    lanes = to_lanes(table.entries)
+    return RedundantTables(h=from_lanes(lanes ^ lanes_right(lanes)),
+                           v=from_lanes(lanes ^ lanes_down(lanes)))
 
 
 def analyze_table(table: SBoxTable, m: int = 16) -> dict:

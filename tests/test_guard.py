@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import numpy as np
@@ -14,13 +15,23 @@ from pfalab.faults import (
 from pfalab.guard import (
     CorrectionReport,
     GuardConfig,
-    _sweep,
+    _vote,
     correct,
     detect,
     precorrect_table,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, SBoxTable, down, left, right, up
+from pfalab.sbox import (
+    AES_SBOX,
+    IDENTITY_TABLE,
+    SBoxTable,
+    down,
+    left,
+    right,
+    to_lanes,
+    up,
+)
+from pfalab.sbox_analysis import build_redundant_tables
 
 
 def test_detect_pristine_table_is_quiet(pair):
@@ -71,11 +82,14 @@ def test_vote_rules(tables):
 
 def test_reconstruction_identity_on_pristine(tables):
     # Every parity check passes, so each entry's four reconstructions
-    # equal the entry itself and no vote runs.
-    active, _, _ = _sweep(np.frombuffer(AES_SBOX.entries, dtype=np.uint8),
-                          tables)
-    assert active.size == 0
-    assert precorrect_table(AES_SBOX, tables) == AES_SBOX
+    # equal the entry itself: the vote writes and leaves open no entry.
+    entries = list(range(256))
+    Rng(16).shuffle(entries)
+    for pristine in (AES_SBOX, IDENTITY_TABLE, SBoxTable(entries)):
+        parity = build_redundant_tables(pristine)
+        assert _vote(to_lanes(pristine.entries), to_lanes(parity.v),
+                     to_lanes(parity.h)) == (0, 0)
+        assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
         assert planted == AES_SBOX
@@ -133,8 +147,9 @@ def test_sweep_never_corrupts_best_case(pair, tables):
 
 
 def test_guard_config_validation():
-    with pytest.raises(ValueError):
-        GuardConfig(max_correction_rounds=0)
+    for budget in (0, 2.5, 2.0, True):
+        with pytest.raises(ValueError):
+            GuardConfig(max_correction_rounds=budget)
     assert GuardConfig().max_correction_rounds == 16
     assert GuardConfig().use_second_checkpoint is True
 
@@ -274,3 +289,39 @@ def test_syndrome_sweep_matches_dense_oracle(pair, tables):
             assert _on_failing_edge(snapshot, tables, x)
         for x in report.unresolved:
             assert _on_failing_edge(fixed, tables, x)
+
+
+def _torus(r, c):
+    return (r % 16) * 16 + (c % 16)
+
+
+def _golden_cases():
+    """All 65,280 single faults at the default config, then the 1,024
+    two-fault placements that share two grid neighbours, with seeded
+    values, budgets 1, 2 and 16 and the second checkpoint on and off."""
+    default = GuardConfig()
+    for x in range(256):
+        for e in range(256):
+            if e != AES_SBOX[x]:
+                yield inject(AES_SBOX, FaultSpec(((x, e),))), default
+    rng = Rng(19)
+    for i in range(1024):
+        x1 = i // 4
+        r, c = divmod(x1, 16)
+        x2 = (_torus(r + 1, c + 1), _torus(r + 1, c - 1),
+              _torus(r, c + 2), _torus(r + 2, c))[i % 4]
+        spec = FaultSpec(((x1, AES_SBOX[x1] ^ (1 + rng.randrange(255))),
+                          (x2, AES_SBOX[x2] ^ (1 + rng.randrange(255)))))
+        yield inject(AES_SBOX, spec), GuardConfig((1, 2, 16)[i % 3], i % 4 < 2)
+
+
+def test_correct_and_precorrect_match_golden_digest(pair, tables):
+    # Pinned from the numpy gather vote that the lane kernel replaced;
+    # repr keeps int against numpy-scalar differences visible.
+    digest = hashlib.sha256()
+    for faulted, cfg in _golden_cases():
+        fixed, report = correct(faulted, tables, pair, cfg)
+        digest.update(repr((fixed.entries, report)).encode())
+        digest.update(precorrect_table(faulted, tables).entries)
+    assert digest.hexdigest() == (
+        "1a23fbc99fb6fdeaef7d7302f311004a27d8a14827a11c9fdcf924980563cace")

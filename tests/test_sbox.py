@@ -3,17 +3,22 @@ import pytest
 from pfalab.sbox import (
     AES_INV_SBOX,
     AES_SBOX,
-    EDGES,
     IDENTITY_TABLE,
-    INCIDENT,
     NEIGHBORS,
     NotAPermutation,
     SBoxTable,
     down,
+    from_lanes,
+    lanes_down,
+    lanes_left,
+    lanes_right,
+    lanes_up,
     left,
     right,
+    to_lanes,
     up,
 )
+from pfalab.rng import Rng
 
 
 def test_standard_table_known_entries():
@@ -93,18 +98,17 @@ def test_neighbors_order():
     assert NEIGHBORS.shape == (256, 4)
     for x in range(256):
         assert NEIGHBORS[x].tolist() == [up(x), down(x), left(x), right(x)]
+    assert not NEIGHBORS.flags.writeable
 
 
-def test_edges_and_incidence_follow_the_scalar_moves():
-    assert EDGES.shape == (2, 512)
-    assert INCIDENT.shape == (256, 4)
-    for x in range(256):
-        assert EDGES[:, x].tolist() == [x, down(x)]
-        assert EDGES[:, 256 + x].tolist() == [x, right(x)]
-        assert INCIDENT[x].tolist() == [up(x), x, 256 + left(x), 256 + x]
-        # Each incident edge joins x to the neighbour in the same slot.
-        for slot, edge in enumerate(INCIDENT[x]):
-            assert sorted(EDGES[:, edge]) == sorted((x, NEIGHBORS[x, slot]))
-    assert INCIDENT.flags["C_CONTIGUOUS"]
-    for array in (NEIGHBORS, EDGES, INCIDENT):
-        assert not array.flags.writeable
+def test_lane_moves_follow_the_scalar_moves():
+    rng = Rng(17)
+    for _ in range(50):
+        entries = rng.randbytes(256)
+        lanes = to_lanes(entries)
+        assert from_lanes(lanes) == entries
+        for lane_move, move in ((lanes_up, up), (lanes_down, down),
+                                (lanes_left, left), (lanes_right, right)):
+            # to_bytes would raise on bits moved past lane 255.
+            assert from_lanes(lane_move(lanes)) == bytes(
+                entries[move(x)] for x in range(256))
