@@ -1,8 +1,8 @@
 """AES-128 with a pluggable byte-substitution table.
 
-The substitution step is kept as a plain 256-byte table lookup so that a
-corrupted table propagates through encryption exactly like a persistent
-memory fault would on a real device.  Round keys are always expanded
+The substitution step reads a plain 256-byte table, entry for entry, so
+that a corrupted table propagates through encryption exactly like a
+persistent memory fault would on a real device.  Round keys are always expanded
 with the reference table: the fault model covers the substitution table
 read during encryption, not the key schedule computed beforehand.
 
@@ -14,6 +14,17 @@ holds byte i of every block, so ShiftRows and the rotations inside a
 column are row gathers.  encrypt_blocks/decrypt_blocks take (n, 16)
 arrays; encrypt/decrypt take one 16-byte ``bytes`` block and run as a
 one-row batch.
+
+Every byte lookup (SubBytes, and the {02} and {04} multiplications of
+MixColumns and its inverse) reads two state bytes at once: the flat
+state, 16n bytes and so always of even length, is viewed as 8n uint16
+words and gathered from a 65,536-entry pair table whose entry hi<<8|lo
+holds lut[hi]<<8|lut[lo].  Each byte of a word maps to the table entry
+of that byte alone, in the same place in the word, so the result equals
+the byte lookup exactly, whatever the byte order of the host.  The
+{02} and {04} pair tables are built at import; a substitution table's
+pair table is built per call (about 15 us).  A call runs its rounds in
+place in a few buffers allocated once, so no round allocates memory.
 """
 
 from __future__ import annotations
@@ -59,10 +70,19 @@ _INV_SR_IDX = np.array(INV_SHIFT_ROWS_PERM, dtype=np.intp)
 _ROT = np.array([4 * (i // 4) + (i + 1) % 4 for i in range(16)], dtype=np.intp)
 _ROT2 = _ROT[_ROT]
 
-# Multiplication by {02} and by {04} in GF(2^8).
-_XT = np.array([(x << 1 ^ (x >> 7) * 0x1B) & 0xFF for x in range(256)],
-               dtype=np.uint8)
-_XT4 = _XT[_XT]
+
+def _pairs(lut: np.ndarray) -> np.ndarray:
+    """The pair table of a 256-entry uint8 table: entry hi<<8|lo of the
+    65,536 uint16 entries holds lut[hi]<<8|lut[lo]."""
+    wide = lut.astype(np.uint16)
+    return (wide[:, None] << 8 | wide).ravel()
+
+
+# Multiplication by {02} and by {04} in GF(2^8), as pair tables.
+_XTIME = np.array([(x << 1 ^ (x >> 7) * 0x1B) & 0xFF for x in range(256)],
+                  dtype=np.uint8)
+_XT = _pairs(_XTIME)
+_XT4 = _pairs(_XTIME[_XTIME])
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -127,17 +147,46 @@ def inverse_key_expand(last_round_key: bytes) -> bytes:
     return b"".join(words[0:4])
 
 
-def _mix_columns(s: np.ndarray) -> np.ndarray:
+def _sub(pairs, src, out, idx):
+    """out = the table of pairs applied to every byte of src.
+
+    src and out are C-ordered (16, n) uint8 states and may be the same
+    array: the 8n two-byte indices are first copied into idx, an intp
+    buffer, so the gather neither reads what it writes nor allocates.
+    """
+    # With out given, take's default mode="raise" writes through a
+    # temporary copy; a uint16 index never wraps, so "wrap" changes nothing.
+    np.copyto(idx, src.reshape(-1).view(np.uint16))
+    np.take(pairs, idx, out=out.reshape(-1).view(np.uint16), mode="wrap")
+
+
+def _permute_rows(src, perm, out):
+    """out = src[perm] for a permutation perm of the 16 rows."""
+    np.take(src, perm, axis=0, out=out, mode="wrap")
+
+
+def _mix_columns(s, out, a, idx):
+    """out = MixColumns(s); a and idx are scratch and s is overwritten."""
     # Output row r is s_r ^ t ^ {02}(s_r ^ s_{r+1}), where the column sum
     # t = s_0 ^ s_1 ^ s_2 ^ s_3 is a ^ a[_ROT2] for a = s ^ s[_ROT].
-    a = s ^ s[_ROT]
-    return s ^ a ^ a[_ROT2] ^ np.take(_XT, a)
+    _permute_rows(s, _ROT, a)
+    a ^= s
+    _sub(_XT, a, out, idx)
+    out ^= s
+    out ^= a
+    _permute_rows(a, _ROT2, s)
+    out ^= s
 
 
-def _inv_mix_columns(s: np.ndarray) -> np.ndarray:
+def _inv_mix_columns(s, out, a, idx):
+    """out = InvMixColumns(s); a and idx are scratch and s is overwritten."""
     # The inverse matrix factors as MixColumns times {04}x^2 + {05}
     # (Daemen & Rijmen, The Design of Rijndael, section 4.1.3).
-    return _mix_columns(s ^ np.take(_XT4, s ^ s[_ROT2]))
+    _permute_rows(s, _ROT2, a)
+    a ^= s
+    _sub(_XT4, a, a, idx)
+    s ^= a
+    _mix_columns(s, out, a, idx)
 
 
 def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
@@ -146,12 +195,16 @@ def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
     return keys[:, :, None]
 
 
-def _shift(options: CipherOptions, perm: np.ndarray = _SR_IDX):
-    return perm if options.shift_rows_enabled else slice(None)
+_IDENTITY = np.arange(BLOCK_SIZE, dtype=np.intp)
+
+
+def _shift(options: CipherOptions, perm: np.ndarray = _SR_IDX) -> np.ndarray:
+    return perm if options.shift_rows_enabled else _IDENTITY
 
 
 def _lut(table: SBoxTable) -> np.ndarray:
-    return np.frombuffer(table.entries, dtype=np.uint8)
+    """The pair table of a substitution table."""
+    return _pairs(np.frombuffer(table.entries, dtype=np.uint8))
 
 
 def _state(blocks: np.ndarray) -> np.ndarray:
@@ -172,20 +225,36 @@ def _row(block: bytes) -> np.ndarray:
     return np.frombuffer(block, dtype=np.uint8).reshape(1, BLOCK_SIZE)
 
 
-def _rounds(state, keys, lut, shift, sink=None):
-    """Rounds 1..9 and round 10's SubBytes on a (16, n) state that
-    already holds round key 0.
+def _scratch(state):
+    """Two state-sized buffers and the intp index buffer of _sub."""
+    return (np.empty_like(state), np.empty_like(state),
+            np.empty(state.size // 2, dtype=np.intp))
 
-    Round 10's ShiftRows and AddRoundKey are left to the caller, which
-    lets byte scrambling cross its two paths there.  sink, when given a
-    list, receives every round's SubBytes input.
+
+def _rounds(state, keys, lut, shift, sink=None):
+    """Rounds 1..9 and round 10's SubBytes, in place, on a C-ordered
+    (16, n) state that already holds round key 0; returns state.
+
+    lut is a pair table (_lut).  Round 10's ShiftRows and AddRoundKey
+    are left to the caller, which lets byte scrambling cross its two
+    paths there.  sink, when given a list, receives a copy of every
+    round's SubBytes input.
     """
+    s, a, idx = _scratch(state)
     for rnd in range(1, NUM_ROUNDS + 1):
         if rnd > 1:
-            state = _mix_columns(state[shift]) ^ keys[rnd - 1]
+            _permute_rows(state, shift, s)
+            _mix_columns(s, state, a, idx)
+            state ^= keys[rnd - 1]
         if sink is not None:
-            sink.append(state)
-        state = np.take(lut, state)
+            sink.append(state.copy())
+        _sub(lut, state, state, idx)
+    return state
+
+
+def _start(blocks, keys, rnd):
+    state = _state(blocks)
+    state ^= keys[rnd]
     return state
 
 
@@ -198,7 +267,7 @@ def encrypt_blocks(
     """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out."""
     keys = _round_keys_array(round_keys)
     shift = _shift(options)
-    state = _rounds(_state(plaintexts) ^ keys[0], keys, _lut(table), shift)
+    state = _rounds(_start(plaintexts, keys, 0), keys, _lut(table), shift)
     return _blocks(state[shift] ^ keys[NUM_ROUNDS])
 
 
@@ -211,11 +280,15 @@ def decrypt_blocks(
     keys = _round_keys_array(round_keys)
     lut = _lut(inv_table)
     shift = _shift(options, _INV_SR_IDX)
-    state = _state(ciphertexts) ^ keys[NUM_ROUNDS]
+    state = _start(ciphertexts, keys, NUM_ROUNDS)
+    s, a, idx = _scratch(state)
     for rnd in range(NUM_ROUNDS - 1, -1, -1):
-        state = np.take(lut, state[shift]) ^ keys[rnd]
+        _permute_rows(state, shift, s)
+        _sub(lut, s, state, idx)
+        state ^= keys[rnd]
         if rnd:
-            state = _inv_mix_columns(state)
+            _inv_mix_columns(state, s, a, idx)
+            state, s = s, state
     return _blocks(state)
 
 
@@ -235,7 +308,7 @@ def encrypt(
     if trace is not None:
         sink: list[np.ndarray] = []
         keys = _round_keys_array(round_keys)
-        _rounds(_state(block) ^ keys[0], keys, _lut(table), _shift(options),
+        _rounds(_start(block, keys, 0), keys, _lut(table), _shift(options),
                 sink)
         trace.update(np.concatenate(sink).tobytes())
     return encrypt_blocks(block, round_keys, table, options)[0].tobytes()

@@ -11,7 +11,10 @@ round's ShiftRows, routes each shifted byte from the other path when
 (row + target column) is even.  A transient fault in one path's final
 state thereby migrates to the other path's output, so the observed path
 stays correct.  A persistent fault in a shared table corrupts both
-paths identically, which the routing cannot hide.
+paths identically, which the routing cannot hide.  With one table for
+both paths and no transient fault, the two paths are the same
+computation, so path A runs once and stands in for path B; the emitted
+path-B ciphertext is then exactly the plain encryption.
 
 Both schemes run the rounds of pfalab.aes; the one-block calls are
 one-row batches of the (n, 16) calls.
@@ -34,7 +37,7 @@ from .aes import (
     _row,
     _rounds,
     _shift,
-    _state,
+    _start,
     decrypt_blocks,
     encrypt_blocks,
 )
@@ -160,13 +163,16 @@ BS_CROSS = tuple((p % 4 + p // 4) % 2 == 0 for p in range(16))
 _BS_CROSS_ROWS = np.array(BS_CROSS)[:, None]
 
 
-def _bs_encrypt_paths(plaintexts, round_keys, table_a, table_b, options,
-                      transient_b=None):
-    """Both paths' (n, 16) ciphertexts of a byte-scrambled encryption.
+def _bs_paths(plaintexts, round_keys, table_a, table_b, options,
+              transient_b=None):
+    """Both paths' last-round states after ShiftRows, as (16, n), and
+    the last round key.
 
     Rounds 1..9 run independently per path; the crossing happens in the
     last round's ShiftRows.  transient_b=(position, value) overwrites
     one byte of path B's pre-shift last-round state in every block.
+    With one table for both paths and no transient, path B is path A
+    and runs once.
     """
     if transient_b is not None:
         pos, value = transient_b
@@ -175,15 +181,21 @@ def _bs_encrypt_paths(plaintexts, round_keys, table_a, table_b, options,
                              f"byte value) pair, got {transient_b!r}")
     keys = _round_keys_array(round_keys)
     shift = _shift(options)
-    state = _state(plaintexts) ^ keys[0]
-    path_a = _rounds(state, keys, _lut(table_a), shift)
+    state = _start(plaintexts, keys, 0)
+    if table_b == table_a and transient_b is None:
+        path_b = path_a = _rounds(state, keys, _lut(table_a), shift)[shift]
+        return path_a, path_b, keys[NUM_ROUNDS]
+    path_a = _rounds(state.copy(), keys, _lut(table_a), shift)
     path_b = _rounds(state, keys, _lut(table_b), shift)
     if transient_b is not None:
         path_b[pos] = value
-    path_a, path_b = path_a[shift], path_b[shift]
-    last = keys[NUM_ROUNDS]
-    return (_blocks(np.where(_BS_CROSS_ROWS, path_b, path_a) ^ last),
-            _blocks(np.where(_BS_CROSS_ROWS, path_a, path_b) ^ last))
+    return path_a[shift], path_b[shift], keys[NUM_ROUNDS]
+
+
+def _bs_output(own, other, last):
+    """One path's (n, 16) ciphertexts: its own bytes, except those the
+    crossing routes from the other path."""
+    return _blocks(np.where(_BS_CROSS_ROWS, other, own) ^ last)
 
 
 def bs_encrypt_pair(
@@ -200,9 +212,10 @@ def bs_encrypt_pair(
     pre-shift last-round state, modeling the transient fault the scheme
     is built to divert.
     """
-    out_a, out_b = _bs_encrypt_paths(_row(plaintext), round_keys, table_a,
+    path_a, path_b, last = _bs_paths(_row(plaintext), round_keys, table_a,
                                      table_b, options, transient_b)
-    return out_a[0].tobytes(), out_b[0].tobytes()
+    return (_bs_output(path_a, path_b, last)[0].tobytes(),
+            _bs_output(path_b, path_a, last)[0].tobytes())
 
 
 def bs_encrypt(
@@ -226,5 +239,6 @@ def bs_encrypt_blocks(
     options: CipherOptions = DEFAULT_OPTIONS,
 ) -> np.ndarray:
     """Batched path-B ciphertexts (the adversary's view)."""
-    return _bs_encrypt_paths(plaintexts, round_keys, table_a, table_b,
-                             options)[1]
+    path_a, path_b, last = _bs_paths(plaintexts, round_keys, table_a,
+                                     table_b, options)
+    return _bs_output(path_b, path_a, last)

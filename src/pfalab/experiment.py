@@ -119,6 +119,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.implementation not in IMPLEMENTATIONS:
             raise ConfigError(f"unknown implementation {self.implementation!r}")
+        # A bool or a float compares like an int but would be written to
+        # config.json as such, or fail later inside a trial.
+        for name in ("n_faults", "n_ciphertexts", "n_trials", "seed",
+                     "dc_max_rounds", "gap_threshold", "curve_trials",
+                     "curve_grid"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int")
         if not 1 <= self.n_faults <= 255:
             raise ConfigError("n_faults must be in 1..255")
         derived = MULTI_FAULT if self.n_faults > 1 else SINGLE_FAULT
@@ -136,8 +143,6 @@ class ExperimentConfig:
             raise ConfigError("n_ciphertexts must be positive")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
         if self.key_hex is not None:
             try:
                 block_from_hex(self.key_hex)
@@ -152,8 +157,8 @@ class ExperimentConfig:
             object.__setattr__(self, "fault_scope", scope)
         elif self.fault_scope not in (MODULE_ONE_ONLY, SHARED):
             raise ConfigError(f"unknown fault_scope {self.fault_scope!r}")
-        if type(self.dc_max_rounds) is not int or self.dc_max_rounds < 1:
-            raise ConfigError("dc_max_rounds must be an int of at least 1")
+        if self.dc_max_rounds < 1:
+            raise ConfigError("dc_max_rounds must be at least 1")
         if self.gap_threshold < 1:
             raise ConfigError("gap_threshold must be at least 1")
         if not 0 <= self.curve_trials <= self.n_trials:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from pfalab.aes import (
+    _XT,
+    _XT4,
     BLOCK_SIZE,
     SHIFT_ROWS_PERM,
     CipherOptions,
+    _pairs,
+    _sub,
     block_from_hex,
     block_to_hex,
     decrypt,
@@ -16,6 +20,7 @@ from pfalab.aes import (
     inverse_key_expand,
     key_expand,
 )
+from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
 
@@ -191,3 +196,70 @@ def test_batched_calls_reject_wrong_shape(shape):
         encrypt_blocks(blocks, rk)
     with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):
         decrypt_blocks(blocks, rk)
+
+
+def _xtime(x):
+    return (x << 1 ^ (0x1B if x & 0x80 else 0)) & 0xFF
+
+
+# Two faults that copy a neighbour's value: the table is not a bijection.
+TWO_FAULTS = inject(AES_SBOX, FaultSpec(((0x00, AES_SBOX[0x01]),
+                                         (0x53, AES_SBOX[0x52]))))
+
+
+@pytest.mark.parametrize("name, pairs, table", [
+    ("sbox", _pairs(np.frombuffer(AES_SBOX.entries, dtype=np.uint8)),
+     AES_SBOX.entries),
+    ("two faults", _pairs(np.frombuffer(TWO_FAULTS.entries, dtype=np.uint8)),
+     TWO_FAULTS.entries),
+    ("xtime", _XT, bytes(_xtime(x) for x in range(256))),
+    ("xtime twice", _XT4, bytes(_xtime(_xtime(x)) for x in range(256))),
+])
+def test_pair_gather_matches_byte_lookup_on_every_pair(name, pairs, table):
+    assert not TWO_FAULTS.is_permutation()
+    # Every (first, second) byte pair once, as a (16, 8192) state.
+    first, second = np.divmod(np.arange(1 << 16), 256)
+    flat = np.stack([first, second], axis=1).astype(np.uint8).reshape(-1)
+    state = flat.reshape(BLOCK_SIZE, -1)
+    out = np.empty_like(state)
+    idx = np.empty(state.size // 2, dtype=np.intp)
+    _sub(pairs, state, out, idx)
+    want = np.frombuffer(table, dtype=np.uint8)[state]
+    assert (out == want).all()
+    _sub(pairs, state, state, idx)  # in place
+    assert (state == want).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 10_000])
+def test_batched_calls_match_golden_vectors_and_one_block_calls(n):
+    rk = key_expand(FIPS_KEY)
+    faulted = AES_SBOX.with_entry(0x00, 0x00)
+    inv_faulted = AES_INV_SBOX.with_entry(0x00, AES_INV_SBOX[0x00] ^ 0xFF)
+    rng = Rng(46)
+    blocks = np.frombuffer(rng.randbytes(BLOCK_SIZE * n), dtype=np.uint8)
+    blocks = blocks.reshape(n, BLOCK_SIZE).copy()
+    golden_rows = sorted({0, n // 2, n - 1})
+    blocks[golden_rows] = np.frombuffer(FIPS_PT, dtype=np.uint8)
+    checked = range(0, n, max(1, n // 97))
+    for args, want in (
+            ((encrypt_blocks, AES_SBOX, CipherOptions()), FIPS_CT),
+            ((encrypt_blocks, faulted, CipherOptions()),
+             "b53b26354eea9e66eff02111fca6e7ef"),
+            ((encrypt_blocks, faulted, NO_SHIFT),
+             "de4a19166aca3b22a4db44ce6af0c504"),
+            ((decrypt_blocks, AES_INV_SBOX, CipherOptions()),
+             "cb13389c1d59c1d50d11f6b90c38ce7f"),
+            ((decrypt_blocks, inv_faulted, CipherOptions()),
+             "0a17d765f2c73e396bbace9011ff8f91"),
+            ((decrypt_blocks, inv_faulted, NO_SHIFT),
+             "f935c7afbba5aef9f0f65a0bda6e5cb7")):
+        batched, table, options = args
+        one = encrypt if batched is encrypt_blocks else decrypt
+        out = batched(blocks, rk, table, options)
+        assert out.shape == (n, BLOCK_SIZE)
+        want = want if isinstance(want, bytes) else bytes.fromhex(want)
+        for i in golden_rows:
+            assert out[i].tobytes() == want
+        for i in checked:
+            assert out[i].tobytes() == one(blocks[i].tobytes(), rk, table,
+                                           options)

@@ -12,6 +12,7 @@ from pfalab.aes import (
     key_expand,
 )
 from pfalab.classic import (
+    BS_CROSS,
     IDDMR,
     MODULE_ONE_ONLY,
     NCO,
@@ -31,7 +32,7 @@ from pfalab.classic import (
 )
 from pfalab.faults import FaultSpec, inject, random_faults
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX
+from pfalab.sbox import AES_SBOX, SBoxTable
 
 
 def fresh_material(seed):
@@ -221,6 +222,47 @@ def test_bs_batched_matches_scalar():
         for i in range(0, 200, 11):
             assert bytes(cts[i]) == bs_encrypt(bytes(pts[i]), rk,
                                                table_a, table_b)
+
+
+def test_bs_with_one_shared_table_is_plain_encryption():
+    rng, _, rk = fresh_material(35)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00), (0x43, 0x01))))
+    pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 301), dtype=np.uint8)
+    pts = pts.reshape(301, BLOCK_SIZE)
+    for table in (AES_SBOX, faulted):
+        for options in (CipherOptions(), CipherOptions(False)):
+            want = encrypt_blocks(pts, rk, table, options)
+            # An equal table that is a different object shares as well.
+            for table_b in (table, SBoxTable(table.entries)):
+                assert (bs_encrypt_blocks(pts, rk, table, table_b, options)
+                        == want).all()
+
+
+def _crossed(own, other):
+    return bytes(o if cross else w
+                 for w, o, cross in zip(own, other, BS_CROSS))
+
+
+def test_bs_two_tables_or_a_transient_still_run_two_paths():
+    rng, _, rk = fresh_material(36)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    differed = 0
+    for _ in range(40):
+        pt = rng.randbytes(BLOCK_SIZE)
+        a, b = bs_encrypt_pair(pt, rk, faulted, AES_SBOX)
+        c_a, c_b = encrypt(pt, rk, faulted), encrypt(pt, rk)
+        assert (a, b) == (_crossed(c_a, c_b), _crossed(c_b, c_a))
+        differed += a != b
+    assert differed
+    # One table for both paths, but a transient in path B.
+    pt = rng.randbytes(BLOCK_SIZE)
+    clean = encrypt(pt, rk, faulted)
+    for q in range(BLOCK_SIZE):
+        pairs = [bs_encrypt_pair(pt, rk, faulted, faulted,
+                                 transient_b=(q, value))
+                 for value in (0xAA, 0x55)]
+        assert any(a != b for a, b in pairs)
+        assert all(clean in (a, b) for a, b in pairs)
 
 
 def test_bs_without_shiftrows_still_pairs_up():

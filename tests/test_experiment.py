@@ -48,6 +48,13 @@ def test_config_validation():
     for rounds in (0, 2.5, True):
         with pytest.raises(ConfigError):
             ExperimentConfig(implementation="dc", dc_max_rounds=rounds)
+    # A bool or non-int count is rejected up front, not written to
+    # config.json or left to fail inside a trial.
+    for name in ("seed", "n_faults", "n_ciphertexts", "n_trials",
+                 "gap_threshold", "curve_trials", "curve_grid"):
+        for value in (True, 2.0, 2.5, "2"):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig(implementation="ori", **{name: value})
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="dmr", dmr_defense="mirror")
     with pytest.raises(ConfigError):
