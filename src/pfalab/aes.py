@@ -2,10 +2,9 @@
 
 The substitution step reads a plain 256-byte table, entry for entry, so
 that a corrupted table propagates through encryption exactly like a
-persistent memory fault would on a real device.  Round keys are always
-expanded with the reference table: the fault model covers the
-substitution table read during encryption, not the key schedule computed
-beforehand.
+persistent memory fault would on a real device.  Round keys are always expanded
+with the reference table: the fault model covers the substitution table
+read during encryption, not the key schedule computed beforehand.
 
 State layout follows the standard column-major convention: byte i of a
 block is state[row=i % 4, col=i // 4], i.e. flat index 4*c + r.
@@ -208,14 +207,11 @@ def _lut(table: SBoxTable) -> np.ndarray:
     return _pairs(np.frombuffer(table.entries, dtype=np.uint8))
 
 
-def _state(blocks: np.ndarray, round_key: np.ndarray) -> np.ndarray:
-    """(n, 16) blocks XOR a (16, 1) round key, as a fresh C-ordered
-    (16, n) uint8 state."""
+def _state(blocks: np.ndarray) -> np.ndarray:
+    """(n, 16) blocks as a fresh C-ordered (16, n) uint8 state."""
     if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
         raise ValueError("expected an (n, 16) array of blocks")
-    state = blocks.T.astype(np.uint8, order="C")
-    state ^= round_key
-    return state
+    return blocks.T.astype(np.uint8, order="C")
 
 
 def _blocks(state: np.ndarray) -> np.ndarray:
@@ -256,6 +252,12 @@ def _rounds(state, keys, lut, shift, sink=None):
     return state
 
 
+def _start(blocks, keys, rnd):
+    state = _state(blocks)
+    state ^= keys[rnd]
+    return state
+
+
 def encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
@@ -265,7 +267,7 @@ def encrypt_blocks(
     """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out."""
     keys = _round_keys_array(round_keys)
     shift = _shift(options)
-    state = _rounds(_state(plaintexts, keys[0]), keys, _lut(table), shift)
+    state = _rounds(_start(plaintexts, keys, 0), keys, _lut(table), shift)
     return _blocks(state[shift] ^ keys[NUM_ROUNDS])
 
 
@@ -278,7 +280,7 @@ def decrypt_blocks(
     keys = _round_keys_array(round_keys)
     lut = _lut(inv_table)
     shift = _shift(options, _INV_SR_IDX)
-    state = _state(ciphertexts, keys[NUM_ROUNDS])
+    state = _start(ciphertexts, keys, NUM_ROUNDS)
     s, a, idx = _scratch(state)
     for rnd in range(NUM_ROUNDS - 1, -1, -1):
         _permute_rows(state, shift, s)
@@ -306,7 +308,7 @@ def encrypt(
     if trace is not None:
         sink: list[np.ndarray] = []
         keys = _round_keys_array(round_keys)
-        _rounds(_state(block, keys[0]), keys, _lut(table), _shift(options),
+        _rounds(_start(block, keys, 0), keys, _lut(table), _shift(options),
                 sink)
         trace.update(np.concatenate(sink).tobytes())
     return encrypt_blocks(block, round_keys, table, options)[0].tobytes()

@@ -37,7 +37,7 @@ from .aes import (
     _row,
     _rounds,
     _shift,
-    _state,
+    _start,
     decrypt_blocks,
     encrypt_blocks,
 )
@@ -181,7 +181,7 @@ def _bs_paths(plaintexts, round_keys, table_a, table_b, options,
                              f"byte value) pair, got {transient_b!r}")
     keys = _round_keys_array(round_keys)
     shift = _shift(options)
-    state = _state(plaintexts, keys[0])
+    state = _start(plaintexts, keys, 0)
     if table_b == table_a and transient_b is None:
         path_b = path_a = _rounds(state, keys, _lut(table_a), shift)[shift]
         return path_a, path_b, keys[NUM_ROUNDS]
