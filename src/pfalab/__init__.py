@@ -51,7 +51,6 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
-    emit_distribution_curves,
     emit_table3,
     run_experiment,
     run_trial,

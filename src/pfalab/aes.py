@@ -13,7 +13,8 @@ The rounds are written once, as a kernel over a (16, n) state: row i
 holds byte i of every block, so ShiftRows and the rotations inside a
 column are row gathers.  encrypt_blocks/decrypt_blocks take (n, 16)
 arrays; encrypt/decrypt take one 16-byte ``bytes`` block and run as a
-one-row batch.
+one-row batch.  No other module sees the rounds: DMR and byte
+scrambling (pfalab.classic) are built on encrypt_blocks/decrypt_blocks.
 
 Every byte lookup (SubBytes, and the {02} and {04} multiplications of
 MixColumns and its inverse) reads two state bytes at once: the flat
@@ -231,31 +232,32 @@ def _scratch(state):
             np.empty(state.size // 2, dtype=np.intp))
 
 
-def _rounds(state, keys, lut, shift, sink=None):
-    """Rounds 1..9 and round 10's SubBytes, in place, on a C-ordered
-    (16, n) state that already holds round key 0; returns state.
+def _encrypt(plaintexts, round_keys, table, options, sink=None):
+    """All NUM_ROUNDS rounds: (n, 16) uint8 in, (n, 16) ciphertexts out.
 
-    lut is a pair table (_lut).  Round 10's ShiftRows and AddRoundKey
-    are left to the caller, which lets byte scrambling cross its two
-    paths there.  sink, when given a list, receives a copy of every
-    round's SubBytes input.
+    sink, when given a list, receives a copy of every round's SubBytes
+    input as a (16, n) state.
     """
+    keys = _round_keys_array(round_keys)
+    lut = _lut(table)
+    shift = _shift(options)
+    state = _state(plaintexts)
+    state ^= keys[0]
     s, a, idx = _scratch(state)
     for rnd in range(1, NUM_ROUNDS + 1):
-        if rnd > 1:
-            _permute_rows(state, shift, s)
-            _mix_columns(s, state, a, idx)
-            state ^= keys[rnd - 1]
         if sink is not None:
             sink.append(state.copy())
         _sub(lut, state, state, idx)
-    return state
-
-
-def _start(blocks, keys, rnd):
-    state = _state(blocks)
-    state ^= keys[rnd]
-    return state
+        _permute_rows(state, shift, s)
+        if rnd < NUM_ROUNDS:
+            _mix_columns(s, state, a, idx)
+        else:
+            state, s = s, state
+        state ^= keys[rnd]
+    # Free the scratch buffers before the output copy, so that the copy
+    # does not raise the call's peak memory.
+    del s, a, idx
+    return _blocks(state)
 
 
 def encrypt_blocks(
@@ -265,10 +267,7 @@ def encrypt_blocks(
     options: CipherOptions = DEFAULT_OPTIONS,
 ) -> np.ndarray:
     """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out."""
-    keys = _round_keys_array(round_keys)
-    shift = _shift(options)
-    state = _rounds(_start(plaintexts, keys, 0), keys, _lut(table), shift)
-    return _blocks(state[shift] ^ keys[NUM_ROUNDS])
+    return _encrypt(plaintexts, round_keys, table, options)
 
 
 def decrypt_blocks(
@@ -280,7 +279,8 @@ def decrypt_blocks(
     keys = _round_keys_array(round_keys)
     lut = _lut(inv_table)
     shift = _shift(options, _INV_SR_IDX)
-    state = _start(ciphertexts, keys, NUM_ROUNDS)
+    state = _state(ciphertexts)
+    state ^= keys[NUM_ROUNDS]
     s, a, idx = _scratch(state)
     for rnd in range(NUM_ROUNDS - 1, -1, -1):
         _permute_rows(state, shift, s)
@@ -302,16 +302,13 @@ def encrypt(
     """Encrypt one block with the given (possibly faulted) table.
 
     trace, when given a set, collects every table index read during this
-    encryption; that costs one more pass through the rounds.
+    encryption.
     """
-    block = _row(plaintext)
-    if trace is not None:
-        sink: list[np.ndarray] = []
-        keys = _round_keys_array(round_keys)
-        _rounds(_start(block, keys, 0), keys, _lut(table), _shift(options),
-                sink)
+    sink: list[np.ndarray] | None = None if trace is None else []
+    ciphertext = _encrypt(_row(plaintext), round_keys, table, options, sink)
+    if sink is not None:
         trace.update(np.concatenate(sink).tobytes())
-    return encrypt_blocks(block, round_keys, table, options)[0].tobytes()
+    return ciphertext[0].tobytes()
 
 
 def decrypt(

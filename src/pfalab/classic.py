@@ -11,13 +11,16 @@ round's ShiftRows, routes each shifted byte from the other path when
 (row + target column) is even.  A transient fault in one path's final
 state thereby migrates to the other path's output, so the observed path
 stays correct.  A persistent fault in a shared table corrupts both
-paths identically, which the routing cannot hide.  With one table for
-both paths and no transient fault, the two paths are the same
-computation, so path A runs once and stands in for path B; the emitted
-path-B ciphertext is then exactly the plain encryption.
+paths identically, which the routing cannot hide.  Both paths add the
+same round-10 key after the crossing, so it is done on the two paths'
+ciphertexts.  With one table for both paths, path A stands in for path
+B and the cipher runs once; the emitted path-B ciphertext is then
+exactly the plain encryption, and a transient fault replaces one of its
+bytes.
 
-Both schemes run the rounds of pfalab.aes; the one-block calls are
-one-row batches of the (n, 16) calls.
+Both schemes are built on the public encrypt_blocks/decrypt_blocks of
+pfalab.aes; the one-block calls are one-row batches of the (n, 16)
+calls.
 """
 
 from __future__ import annotations
@@ -29,15 +32,10 @@ import numpy as np
 from .aes import (
     BLOCK_SIZE,
     DEFAULT_OPTIONS,
+    INV_SHIFT_ROWS_PERM,
     NUM_ROUNDS,
     CipherOptions,
-    _blocks,
-    _lut,
-    _round_keys_array,
     _row,
-    _rounds,
-    _shift,
-    _start,
     decrypt_blocks,
     encrypt_blocks,
 )
@@ -160,42 +158,44 @@ def dmr_encrypt_blocks(
 # Byte-routing parity for the last-round crossing: target 4*c + r takes
 # its byte from the other path when (r + c) is even.
 BS_CROSS = tuple((p % 4 + p // 4) % 2 == 0 for p in range(16))
-_BS_CROSS_ROWS = np.array(BS_CROSS)[:, None]
+_BS_CROSS_COLUMNS = np.flatnonzero(BS_CROSS)
 
 
 def _bs_paths(plaintexts, round_keys, table_a, table_b, options,
               transient_b=None):
-    """Both paths' last-round states after ShiftRows, as (16, n), and
-    the last round key.
+    """Both paths' (n, 16) ciphertexts before the crossing.
 
-    Rounds 1..9 run independently per path; the crossing happens in the
-    last round's ShiftRows.  transient_b=(position, value) overwrites
-    one byte of path B's pre-shift last-round state in every block.
-    With one table for both paths and no transient, path B is path A
-    and runs once.
+    The crossing moves whole last-round bytes and both paths then add
+    the same round-10 key, so it commutes with AddRoundKey and acts on
+    the ciphertexts.  transient_b=(position, value) overwrites one byte
+    of path B's pre-shift last-round state in every block: the
+    ciphertext byte that ShiftRows moves it to becomes value ^ k10 there.
+    With one table for both paths, path B is path A.
     """
     if transient_b is not None:
         pos, value = transient_b
         if not (0 <= pos < BLOCK_SIZE and 0 <= value <= 0xFF):
             raise ValueError("transient_b must be a (position in 0..15, "
                              f"byte value) pair, got {transient_b!r}")
-    keys = _round_keys_array(round_keys)
-    shift = _shift(options)
-    state = _start(plaintexts, keys, 0)
-    if table_b == table_a and transient_b is None:
-        path_b = path_a = _rounds(state, keys, _lut(table_a), shift)[shift]
-        return path_a, path_b, keys[NUM_ROUNDS]
-    path_a = _rounds(state.copy(), keys, _lut(table_a), shift)
-    path_b = _rounds(state, keys, _lut(table_b), shift)
+    path_a = encrypt_blocks(plaintexts, round_keys, table_a, options)
+    path_b = path_a
+    if table_b != table_a:
+        path_b = encrypt_blocks(plaintexts, round_keys, table_b, options)
     if transient_b is not None:
-        path_b[pos] = value
-    return path_a[shift], path_b[shift], keys[NUM_ROUNDS]
+        j = INV_SHIFT_ROWS_PERM[pos] if options.shift_rows_enabled else pos
+        path_b = path_b.copy()
+        path_b[:, j] = value ^ round_keys[NUM_ROUNDS][j]
+    return path_a, path_b
 
 
-def _bs_output(own, other, last):
-    """One path's (n, 16) ciphertexts: its own bytes, except those the
-    crossing routes from the other path."""
-    return _blocks(np.where(_BS_CROSS_ROWS, other, own) ^ last)
+def _bs_output(own, other):
+    """One path's ciphertexts: its own bytes, except those the crossing
+    routes from the other path."""
+    if own is other:
+        return own
+    out = own.copy()
+    out[:, _BS_CROSS_COLUMNS] = other[:, _BS_CROSS_COLUMNS]
+    return out
 
 
 def bs_encrypt_pair(
@@ -212,10 +212,10 @@ def bs_encrypt_pair(
     pre-shift last-round state, modeling the transient fault the scheme
     is built to divert.
     """
-    path_a, path_b, last = _bs_paths(_row(plaintext), round_keys, table_a,
-                                     table_b, options, transient_b)
-    return (_bs_output(path_a, path_b, last)[0].tobytes(),
-            _bs_output(path_b, path_a, last)[0].tobytes())
+    path_a, path_b = _bs_paths(_row(plaintext), round_keys, table_a,
+                               table_b, options, transient_b)
+    return (_bs_output(path_a, path_b)[0].tobytes(),
+            _bs_output(path_b, path_a)[0].tobytes())
 
 
 def bs_encrypt(
@@ -239,6 +239,6 @@ def bs_encrypt_blocks(
     options: CipherOptions = DEFAULT_OPTIONS,
 ) -> np.ndarray:
     """Batched path-B ciphertexts (the adversary's view)."""
-    path_a, path_b, last = _bs_paths(plaintexts, round_keys, table_a,
-                                     table_b, options)
-    return _bs_output(path_b, path_a, last)
+    path_a, path_b = _bs_paths(plaintexts, round_keys, table_a, table_b,
+                               options)
+    return _bs_output(path_b, path_a)

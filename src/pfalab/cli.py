@@ -26,8 +26,10 @@ from .costs import to_csv as cost_table_csv
 from .experiment import (
     IMPLEMENTATIONS,
     ExperimentConfig,
+    emit_table3,
     render_files,
     run_experiment,
+    summarize,
     write_run,
 )
 from .faults import BIT_FLIP, CLUSTERED, RANDOM_BYTE, SCATTERED
@@ -77,8 +79,8 @@ def _cmd_run(args) -> int:
     )
     result = run_experiment(config)
     out_dir = write_run(result, args.out)
-    sys.stdout.write(result.table3_csv())
-    sys.stdout.write(result.summary())
+    sys.stdout.write(emit_table3(result.records))
+    sys.stdout.write(summarize(result.records))
     sys.stdout.write(f"run written to {out_dir}\n")
     if args.check:
         # Compare with the files as written, so the first result is

@@ -143,7 +143,11 @@ class ExperimentConfig:
             raise ConfigError("n_ciphertexts must be positive")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
+        if type(self.shift_rows) is not bool:
+            raise ConfigError("shift_rows must be a bool")
         if self.key_hex is not None:
+            if not isinstance(self.key_hex, str):
+                raise ConfigError("key_hex must be a str")
             try:
                 block_from_hex(self.key_hex)
             except ValueError as exc:
@@ -163,7 +167,10 @@ class ExperimentConfig:
             raise ConfigError("gap_threshold must be at least 1")
         if not 0 <= self.curve_trials <= self.n_trials:
             raise ConfigError("curve_trials must be in 0..n_trials")
-        positions = tuple(self.curve_positions)
+        try:
+            positions = tuple(self.curve_positions)
+        except TypeError:
+            raise ConfigError("curve positions must be iterable") from None
         # Curve rows are formatted once for CSV and JSON, which agree on
         # int cells only: a bool or numpy position would print apart.
         if any(type(p) is not int or not 0 <= p < BLOCK_SIZE
@@ -184,15 +191,6 @@ class ExperimentConfig:
 class ExperimentResult:
     config: ExperimentConfig
     records: list = field(default_factory=list)
-
-    def table3_csv(self) -> str:
-        return emit_table3(self.records)
-
-    def curves_csv(self) -> str:
-        return emit_distribution_curves(self.records)
-
-    def summary(self) -> str:
-        return summarize(self.records)
 
 
 def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
@@ -439,13 +437,6 @@ def _json_rows(body: str) -> str:
     return "[[" + body[:-1].replace("\n", "],[") + "]]"
 
 
-def emit_distribution_curves(records) -> str:
-    """Per-value running frequencies for the curve-tracked trials."""
-    return _CURVES_HEADER + "".join(
-        _csv_lines(record["trial"], _curve_body(record["curves"]))
-        for record in records if "curves" in record)
-
-
 def summarize(records) -> str:
     """Human-readable per-implementation digest of a record list."""
     lines = []
@@ -486,7 +477,7 @@ def render_files(result: ExperimentResult) -> dict:
         "config.json": _canonical_json(result.config.to_json_dict()) + "\n",
         "records.jsonl": "".join(records),
         "curves.csv": "".join(curves),
-        "table3.csv": result.table3_csv(),
+        "table3.csv": emit_table3(result.records),
     }
 
 

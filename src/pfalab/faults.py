@@ -16,10 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rng import Rng
-from .sbox import AES_SBOX, NEIGHBORS, SBoxTable
+from .sbox import (
+    AES_SBOX,
+    SBoxTable,
+    from_lanes,
+    lanes_down,
+    lanes_left,
+    lanes_right,
+    lanes_up,
+    to_lanes,
+)
 
 BEST = "best"
 AVERAGE = "average"
@@ -91,14 +98,18 @@ def classify_case(spec: FaultSpec) -> str:
     """Repair difficulty of a placement, from grid geometry alone.
 
     The score is the largest number of faulty neighbours any grid cell
-    has, one gather of a faulty-cell mask over sbox.NEIGHBORS.  0 or 1
-    is the best case (every vote sees at least three sound candidates),
-    2 is average (an agreeing pair remains), 3 or 4 is the worst case
+    has: the sum of the four lane moves of the 0/1 faulty-cell lanes,
+    at most 4 per lane, so nothing carries between lanes.  0 or 1 is
+    the best case (every vote sees at least three sound candidates), 2
+    is average (an agreeing pair remains), 3 or 4 is the worst case
     (repair must proceed inward over several sweeps).
     """
-    faulty = np.zeros(256, dtype=bool)
-    faulty[list(spec.indices)] = True
-    worst_count = faulty[NEIGHBORS].sum(axis=1).max()
+    faulty = bytearray(256)
+    for x in spec.indices:
+        faulty[x] = 1
+    lanes = to_lanes(faulty)
+    worst_count = max(from_lanes(lanes_up(lanes) + lanes_down(lanes)
+                                 + lanes_left(lanes) + lanes_right(lanes)))
     if worst_count <= 1:
         return BEST
     if worst_count == 2:

@@ -6,17 +6,14 @@ sits at row x >> 4, column x & 0xF.  Neighbour moves wrap around both
 axes (a torus), so every entry has exactly four distinct neighbours.
 
 This is the only module that knows the grid.  The scalar moves
-up/down/left/right define it.  NEIGHBORS (256, 4) is a read-only index
-array of each entry's up, down, left and right neighbour.  The lane
-moves lanes_up/lanes_down/lanes_left/lanes_right apply the same moves to
-a whole table at once, read by to_lanes as one 2048-bit int whose byte
+up/down/left/right define it.  The lane moves
+lanes_up/lanes_down/lanes_left/lanes_right apply the same moves to a
+whole table at once, read by to_lanes as one 2048-bit int whose byte
 lane x holds entry x: lane x of lanes_up(t) holds lane up(x) of t, and
 so on.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class NotAPermutation(ValueError):
@@ -98,11 +95,6 @@ def left(x: int) -> int:
 
 def right(x: int) -> int:
     return (x & 0xF0) | ((x + 1) & 0x0F)
-
-
-NEIGHBORS = np.array([(up(x), down(x), left(x), right(x))
-                      for x in range(256)], dtype=np.intp)
-NEIGHBORS.setflags(write=False)
 
 
 # Lane x of a lane int is bits 8x..8x+7, so grid row r is the 128 bits

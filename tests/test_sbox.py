@@ -4,7 +4,6 @@ from pfalab.sbox import (
     AES_INV_SBOX,
     AES_SBOX,
     IDENTITY_TABLE,
-    NEIGHBORS,
     NotAPermutation,
     SBoxTable,
     down,
@@ -92,13 +91,6 @@ def test_grid_moves_are_inverse_pairs():
         assert up(down(x)) == x
         assert right(left(x)) == x
         assert left(right(x)) == x
-
-
-def test_neighbors_order():
-    assert NEIGHBORS.shape == (256, 4)
-    for x in range(256):
-        assert NEIGHBORS[x].tolist() == [up(x), down(x), left(x), right(x)]
-    assert not NEIGHBORS.flags.writeable
 
 
 def test_lane_moves_follow_the_scalar_moves():

@@ -64,6 +64,21 @@ def test_dmr_calls_go_through_the_classic_names(monkeypatch):
     assert calls == {"encrypt_blocks": 4, "decrypt_blocks": 2}
 
 
+def test_bs_calls_go_through_the_classic_names(monkeypatch):
+    calls = {}
+    _counting(monkeypatch, classic, "encrypt_blocks", calls)
+    rk = key_expand(bytes(BLOCK_SIZE))
+    pts = np.zeros((3, BLOCK_SIZE), dtype=np.uint8)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    classic.bs_encrypt_blocks(pts, rk, faulted, faulted)
+    assert calls == {"encrypt_blocks": 1}
+    classic.bs_encrypt_pair(bytes(BLOCK_SIZE), rk, faulted, faulted,
+                            transient_b=(3, 0xA5))
+    assert calls == {"encrypt_blocks": 2}
+    classic.bs_encrypt_blocks(pts, rk, faulted, AES_SBOX)
+    assert calls == {"encrypt_blocks": 4}
+
+
 def test_correct_rechecks_through_the_guard_name(monkeypatch, pair, tables):
     calls = {}
     _counting(monkeypatch, guard, "detect", calls)
