@@ -10,7 +10,6 @@ majority vote over parity-linked neighbours.
 
 from .aes import (
     BLOCK_SIZE,
-    CipherOptions,
     block_from_hex,
     block_to_hex,
     decrypt,
@@ -33,11 +32,7 @@ from .attack import (
 )
 from .classic import (
     DmrConfig,
-    GuardedOutput,
-    bs_encrypt,
     bs_encrypt_blocks,
-    bs_encrypt_pair,
-    dmr_encrypt,
     dmr_encrypt_blocks,
 )
 from .costs import (

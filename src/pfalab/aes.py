@@ -16,22 +16,23 @@ arrays; encrypt/decrypt take one 16-byte ``bytes`` block and run as a
 one-row batch.  No other module sees the rounds: DMR and byte
 scrambling (pfalab.classic) are built on encrypt_blocks/decrypt_blocks.
 
-Every byte lookup (SubBytes, and the {02} and {04} multiplications of
-MixColumns and its inverse) reads two state bytes at once: the flat
-state, 16n bytes and so always of even length, is viewed as 8n uint16
-words and gathered from a 65,536-entry pair table whose entry hi<<8|lo
-holds lut[hi]<<8|lut[lo].  Each byte of a word maps to the table entry
-of that byte alone, in the same place in the word, so the result equals
-the byte lookup exactly, whatever the byte order of the host.  The
-{02} and {04} pair tables are built at import; a substitution table's
-pair table is built per call (about 15 us).  A call runs its rounds in
-place in a few buffers allocated once, so no round allocates memory.
+SubBytes reads two state bytes at once: the flat state, 16n bytes and
+so always of even length, is viewed as 8n uint16 words and gathered
+from a 65,536-entry pair table whose entry hi<<8|lo holds
+lut[hi]<<8|lut[lo].  Each byte of a word maps to the table entry of
+that byte alone, in the same place in the word, so the result equals
+the byte lookup exactly, whatever the byte order of the host.  A
+substitution table's pair table is built per call (about 15 us); no
+lookup table is built at import.  The {02} and {04} multiplications
+of MixColumns and its inverse are lane arithmetic on the state viewed
+as uint64 words, eight bytes at a time, with masks that keep every
+byte to itself.  A call runs its rounds in place in a few buffers
+allocated once, so no round allocates memory.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,23 +43,6 @@ KEY_SIZE = 16
 NUM_ROUNDS = 10
 
 _HEX_BLOCK = re.compile(r"[0-9a-f]{32}")
-
-
-@dataclass(frozen=True)
-class CipherOptions:
-    """Structural switches for experiments.
-
-    shift_rows_enabled: with False, both ShiftRows and its inverse become
-    the identity.  Byte permutations do not affect the per-byte lookup
-    statistics the attack relies on, and disabling them isolates the
-    substitution layer in experiments.  The round count is not an
-    option: AES-128 always runs NUM_ROUNDS rounds.
-    """
-
-    shift_rows_enabled: bool = True
-
-
-DEFAULT_OPTIONS = CipherOptions()
 
 # ShiftRows sends old flat index 4*((c + r) % 4) + r to new index 4*c + r.
 SHIFT_ROWS_PERM = tuple(4 * ((c + r) % 4) + r for c in range(4) for r in range(4))
@@ -79,11 +63,10 @@ def _pairs(lut: np.ndarray) -> np.ndarray:
     return (wide[:, None] << 8 | wide).ravel()
 
 
-# Multiplication by {02} and by {04} in GF(2^8), as pair tables.
-_XTIME = np.array([(x << 1 ^ (x >> 7) * 0x1B) & 0xFF for x in range(256)],
-                  dtype=np.uint8)
-_XT = _pairs(_XTIME)
-_XT4 = _pairs(_XTIME[_XTIME])
+# Per-byte masks for {02} on uint64 words: bit 0 of every byte, and
+# the seven bits below bit 7 of every byte.
+_LOW_BITS = np.uint64(0x0101010101010101)
+_HIGH7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -166,13 +149,36 @@ def _permute_rows(src, perm, out):
     np.take(src, perm, axis=0, out=out, mode="wrap")
 
 
+def _words(state):
+    """A (16, n) uint8 state as 2n uint64 words (a view)."""
+    return state.reshape(-1).view(np.uint64)
+
+
+def _xtime_words(src, out, idx):
+    """out = {02} times every byte of src, with src and out uint64 word
+    views, possibly of the same array.
+
+    Bit 7 of each byte is masked off before the shift, and the reduction
+    {1b} lands in the byte whose bit 7 it replaces, so no bit crosses a
+    byte, whatever the byte order of the host.  idx is the intp index
+    buffer of _sub, at least as large as src, and holds the carries.
+    """
+    carry = idx.view(np.uint64)[:src.size]
+    np.right_shift(src, 7, out=carry)
+    carry &= _LOW_BITS
+    carry *= 0x1B
+    np.bitwise_and(src, _HIGH7, out=out)
+    out <<= 1
+    out ^= carry
+
+
 def _mix_columns(s, out, a, idx):
     """out = MixColumns(s); a and idx are scratch and s is overwritten."""
     # Output row r is s_r ^ t ^ {02}(s_r ^ s_{r+1}), where the column sum
     # t = s_0 ^ s_1 ^ s_2 ^ s_3 is a ^ a[_ROT2] for a = s ^ s[_ROT].
     _permute_rows(s, _ROT, a)
     a ^= s
-    _sub(_XT, a, out, idx)
+    _xtime_words(_words(a), _words(out), idx)
     out ^= s
     out ^= a
     _permute_rows(a, _ROT2, s)
@@ -185,7 +191,9 @@ def _inv_mix_columns(s, out, a, idx):
     # (Daemen & Rijmen, The Design of Rijndael, section 4.1.3).
     _permute_rows(s, _ROT2, a)
     a ^= s
-    _sub(_XT4, a, a, idx)
+    words = _words(a)
+    _xtime_words(words, words, idx)
+    _xtime_words(words, words, idx)
     s ^= a
     _mix_columns(s, out, a, idx)
 
@@ -197,10 +205,6 @@ def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
 
 
 _IDENTITY = np.arange(BLOCK_SIZE, dtype=np.intp)
-
-
-def _shift(options: CipherOptions, perm: np.ndarray = _SR_IDX) -> np.ndarray:
-    return perm if options.shift_rows_enabled else _IDENTITY
 
 
 def _lut(table: SBoxTable) -> np.ndarray:
@@ -227,12 +231,12 @@ def _row(block: bytes) -> np.ndarray:
 
 
 def _scratch(state):
-    """Two state-sized buffers and the intp index buffer of _sub."""
+    """Two state buffers and the intp buffer of _sub and _xtime_words."""
     return (np.empty_like(state), np.empty_like(state),
             np.empty(state.size // 2, dtype=np.intp))
 
 
-def _encrypt(plaintexts, round_keys, table, options, sink=None):
+def _encrypt(plaintexts, round_keys, table, shift_rows, sink=None):
     """All NUM_ROUNDS rounds: (n, 16) uint8 in, (n, 16) ciphertexts out.
 
     sink, when given a list, receives a copy of every round's SubBytes
@@ -240,7 +244,7 @@ def _encrypt(plaintexts, round_keys, table, options, sink=None):
     """
     keys = _round_keys_array(round_keys)
     lut = _lut(table)
-    shift = _shift(options)
+    shift = _SR_IDX if shift_rows else _IDENTITY
     state = _state(plaintexts)
     state ^= keys[0]
     s, a, idx = _scratch(state)
@@ -264,21 +268,28 @@ def encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
     table: SBoxTable = AES_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
 ) -> np.ndarray:
-    """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out."""
-    return _encrypt(plaintexts, round_keys, table, options)
+    """Batched encrypt: (n, 16) uint8 in, (n, 16) uint8 out.
+
+    shift_rows=False makes ShiftRows, here and in decrypt_blocks, the
+    identity: that leaves the per-byte lookup statistics the attack
+    relies on alone and isolates the substitution layer in experiments.
+    """
+    return _encrypt(plaintexts, round_keys, table, shift_rows)
 
 
 def decrypt_blocks(
     ciphertexts: np.ndarray,
     round_keys: list[bytes],
     inv_table: SBoxTable = AES_INV_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
 ) -> np.ndarray:
     keys = _round_keys_array(round_keys)
     lut = _lut(inv_table)
-    shift = _shift(options, _INV_SR_IDX)
+    shift = _INV_SR_IDX if shift_rows else _IDENTITY
     state = _state(ciphertexts)
     state ^= keys[NUM_ROUNDS]
     s, a, idx = _scratch(state)
@@ -296,7 +307,8 @@ def encrypt(
     plaintext: bytes,
     round_keys: list[bytes],
     table: SBoxTable = AES_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
     trace: set[int] | None = None,
 ) -> bytes:
     """Encrypt one block with the given (possibly faulted) table.
@@ -305,7 +317,8 @@ def encrypt(
     encryption.
     """
     sink: list[np.ndarray] | None = None if trace is None else []
-    ciphertext = _encrypt(_row(plaintext), round_keys, table, options, sink)
+    ciphertext = _encrypt(_row(plaintext), round_keys, table, shift_rows,
+                          sink)
     if sink is not None:
         trace.update(np.concatenate(sink).tobytes())
     return ciphertext[0].tobytes()
@@ -315,10 +328,11 @@ def decrypt(
     ciphertext: bytes,
     round_keys: list[bytes],
     inv_table: SBoxTable = AES_INV_SBOX,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
 ) -> bytes:
     """Decrypt one block.  inv_table plays the role the inverse table
     would play in a device's decryption module and may be faulted
     independently of the forward table."""
     return decrypt_blocks(_row(ciphertext), round_keys, inv_table,
-                          options)[0].tobytes()
+                          shift_rows=shift_rows)[0].tobytes()

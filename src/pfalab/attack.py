@@ -14,6 +14,9 @@ value check and the count gap are tracked as confidence metadata, not
 as gates; at realistic sample sizes the maximum fluctuates long after
 the unique zero has stabilized, while on a healthy (corrected) stream
 the unique-zero gate virtually never fires at all.
+
+Streams are (n, 16) uint8 arrays throughout; the histogram counts one
+byte position of a whole stream per pass.
 """
 
 from __future__ import annotations
@@ -36,13 +39,6 @@ class CiphertextHistogram:
         self.counts = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
         self.n = 0
 
-    def add(self, block: bytes) -> None:
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"expected a {BLOCK_SIZE}-byte block")
-        for j, value in enumerate(block):
-            self.counts[j, value] += 1
-        self.n += 1
-
     def add_blocks(self, blocks: np.ndarray) -> None:
         """Accumulate an (n, 16) uint8 array in one pass."""
         if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
@@ -51,32 +47,17 @@ class CiphertextHistogram:
             self.counts[j] += np.bincount(blocks[:, j], minlength=256)
         self.n += blocks.shape[0]
 
-    def merge(self, other: "CiphertextHistogram") -> "CiphertextHistogram":
-        """Pointwise sum, so sharded streams can be combined."""
-        out = CiphertextHistogram()
-        out.counts = self.counts + other.counts
-        out.n = self.n + other.n
-        return out
-
-    def csv_rows(self):
-        for position in range(BLOCK_SIZE):
-            for value in range(256):
-                yield position, value, int(self.counts[position, value])
-
     def to_csv(self) -> str:
         lines = ["position,value,count"]
-        lines.extend(f"{p},{v},{c}" for p, v, c in self.csv_rows())
+        lines.extend(f"{p},{v},{self.counts[p, v]}"
+                     for p in range(BLOCK_SIZE) for v in range(256))
         return "\n".join(lines) + "\n"
 
 
-def accumulate(ciphertexts) -> CiphertextHistogram:
-    """Histogram of a ciphertext stream (iterable of blocks or array)."""
+def accumulate(ciphertexts: np.ndarray) -> CiphertextHistogram:
+    """Histogram of an (n, 16) uint8 ciphertext stream."""
     hist = CiphertextHistogram()
-    if isinstance(ciphertexts, np.ndarray):
-        hist.add_blocks(ciphertexts)
-        return hist
-    for block in ciphertexts:
-        hist.add(block)
+    hist.add_blocks(ciphertexts)
     return hist
 
 
@@ -97,7 +78,6 @@ class KeyRecoveryResult:
     candidate_sets: tuple
     v: int
     v_star: int
-    agreements: tuple
     confidence: tuple
     confident: tuple
     gap_threshold: int
@@ -131,7 +111,7 @@ def recover_key_maxmin(
     ties broken toward the smaller value.  A key byte is reported when
     the position has exactly one zero-count value: that value must be
     S[v] XOR k_j, so k_j = c_min XOR S[v].  The c_max cross-check
-    (k_j = c_max XOR S[v*]) is recorded in agreements/candidate_sets
+    (k_j = c_max XOR S[v*]) is recorded in candidate_sets
     but does not gate the report: on a genuinely faulted stream the
     unique zero identifies the key long before the maximum separates
     from the pack, and on a uniform stream the zero gate stays shut.
@@ -141,7 +121,6 @@ def recover_key_maxmin(
         raise ValueError("v and v_star must differ")
     recovered = []
     candidate_sets = []
-    agreements = []
     confidence = []
     confident = []
     for j in range(BLOCK_SIZE):
@@ -151,11 +130,9 @@ def recover_key_maxmin(
         k1 = c_min ^ sbox[v]
         k2 = c_max ^ sbox[v_star]
         zeros = int((counts == 0).sum())
-        agree = k1 == k2
         second_smallest = int(np.partition(counts, 1)[1])
         recovered.append(k1 if zeros == 1 else None)
         candidate_sets.append(frozenset({k1, k2}))
-        agreements.append(agree)
         confidence.append(second_smallest)
         confident.append(zeros == 1 and second_smallest >= gap_threshold)
     return KeyRecoveryResult(
@@ -163,7 +140,6 @@ def recover_key_maxmin(
         candidate_sets=tuple(candidate_sets),
         v=v,
         v_star=v_star,
-        agreements=tuple(agreements),
         confidence=tuple(confidence),
         confident=tuple(confident),
         gap_threshold=gap_threshold,

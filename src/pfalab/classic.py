@@ -19,8 +19,8 @@ exactly the plain encryption, and a transient fault replaces one of its
 bytes.
 
 Both schemes are built on the public encrypt_blocks/decrypt_blocks of
-pfalab.aes; the one-block calls are one-row batches of the (n, 16)
-calls.
+pfalab.aes, and both take (n, 16) batches only: a single block is a
+one-row batch.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ import numpy as np
 
 from .aes import (
     BLOCK_SIZE,
-    DEFAULT_OPTIONS,
     INV_SHIFT_ROWS_PERM,
     NUM_ROUNDS,
-    CipherOptions,
-    _row,
     decrypt_blocks,
     encrypt_blocks,
 )
@@ -51,11 +48,6 @@ RCO = "rco"
 
 MODULE_ONE_ONLY = "module_one"
 SHARED = "shared"
-
-OK = "ok"
-SUPPRESSED = "suppressed"
-
-ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 @dataclass(frozen=True)
@@ -82,43 +74,6 @@ class DmrConfig:
             raise ValueError(f"unknown fault scope {self.fault_scope!r}")
 
 
-@dataclass(frozen=True)
-class GuardedOutput:
-    """What the device emits: a ciphertext unless NCO suppressed it.
-
-    mismatch records whether the discriminator fired, independent of
-    the defense applied.
-    """
-
-    status: str
-    ciphertext: bytes | None
-    mismatch: bool
-
-
-def dmr_encrypt(
-    plaintext: bytes,
-    round_keys: list[bytes],
-    pristine_table: SBoxTable,
-    faulted_table: SBoxTable,
-    cfg: DmrConfig,
-    rng: Rng | None = None,
-    options: CipherOptions = DEFAULT_OPTIONS,
-) -> GuardedOutput:
-    """One DMR-guarded encryption: dmr_encrypt_blocks on a one-row batch.
-
-    Module 1 (the observed one) always encrypts with faulted_table;
-    module 2's table follows cfg.fault_scope.  The mismatch predicate
-    never depends on the defense chosen.
-    """
-    out, mismatch = dmr_encrypt_blocks(_row(plaintext), round_keys,
-                                       pristine_table, faulted_table, cfg,
-                                       rng, options)
-    if mismatch[0] and cfg.defense == NCO:
-        return GuardedOutput(status=SUPPRESSED, ciphertext=None, mismatch=True)
-    return GuardedOutput(status=OK, ciphertext=out[0].tobytes(),
-                         mismatch=bool(mismatch[0]))
-
-
 def dmr_encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
@@ -126,22 +81,31 @@ def dmr_encrypt_blocks(
     faulted_table: SBoxTable,
     cfg: DmrConfig,
     rng: Rng | None = None,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched dmr_encrypt: returns (emitted blocks, mismatch mask).
+    """DMR-guarded encryption: returns (emitted blocks, mismatch mask).
+
+    Module 1 (the observed one) always encrypts with faulted_table;
+    module 2's table follows cfg.fault_scope.  The mismatch predicate
+    never depends on the defense chosen.
 
     Under NCO the mismatched rows are still present in the array but
     carry no meaning; callers drop them via the mask.  Under ZCO they
     are zeroed, under RCO filled with seeded random bytes drawn in row
-    order, so one call on n rows draws what n one-block calls draw.
+    order, so one call on n rows draws what calls on consecutive chunks
+    of those rows draw from the same rng.
     """
-    c1 = encrypt_blocks(plaintexts, round_keys, faulted_table, options)
+    c1 = encrypt_blocks(plaintexts, round_keys, faulted_table,
+                        shift_rows=shift_rows)
     if cfg.mode == REDMR:
         table2 = faulted_table if cfg.fault_scope == SHARED else pristine_table
-        c2 = encrypt_blocks(plaintexts, round_keys, table2, options)
+        c2 = encrypt_blocks(plaintexts, round_keys, table2,
+                            shift_rows=shift_rows)
         mismatch = (c1 != c2).any(axis=1)
     else:
-        back = decrypt_blocks(c1, round_keys, pristine_table.inverse(), options)
+        back = decrypt_blocks(c1, round_keys, pristine_table.inverse(),
+                              shift_rows=shift_rows)
         mismatch = (back != plaintexts).any(axis=1)
     if cfg.defense == ZCO:
         c1[mismatch] = 0
@@ -161,7 +125,7 @@ BS_CROSS = tuple((p % 4 + p // 4) % 2 == 0 for p in range(16))
 _BS_CROSS_COLUMNS = np.flatnonzero(BS_CROSS)
 
 
-def _bs_paths(plaintexts, round_keys, table_a, table_b, options,
+def _bs_paths(plaintexts, round_keys, table_a, table_b, shift_rows=True,
               transient_b=None):
     """Both paths' (n, 16) ciphertexts before the crossing.
 
@@ -177,12 +141,14 @@ def _bs_paths(plaintexts, round_keys, table_a, table_b, options,
         if not (0 <= pos < BLOCK_SIZE and 0 <= value <= 0xFF):
             raise ValueError("transient_b must be a (position in 0..15, "
                              f"byte value) pair, got {transient_b!r}")
-    path_a = encrypt_blocks(plaintexts, round_keys, table_a, options)
+    path_a = encrypt_blocks(plaintexts, round_keys, table_a,
+                            shift_rows=shift_rows)
     path_b = path_a
     if table_b != table_a:
-        path_b = encrypt_blocks(plaintexts, round_keys, table_b, options)
+        path_b = encrypt_blocks(plaintexts, round_keys, table_b,
+                                shift_rows=shift_rows)
     if transient_b is not None:
-        j = INV_SHIFT_ROWS_PERM[pos] if options.shift_rows_enabled else pos
+        j = INV_SHIFT_ROWS_PERM[pos] if shift_rows else pos
         path_b = path_b.copy()
         path_b[:, j] = value ^ round_keys[NUM_ROUNDS][j]
     return path_a, path_b
@@ -198,47 +164,16 @@ def _bs_output(own, other):
     return out
 
 
-def bs_encrypt_pair(
-    plaintext: bytes,
-    round_keys: list[bytes],
-    table_a: SBoxTable,
-    table_b: SBoxTable,
-    options: CipherOptions = DEFAULT_OPTIONS,
-    transient_b: tuple[int, int] | None = None,
-) -> tuple[bytes, bytes]:
-    """Both path outputs of a byte-scrambled encryption of one block.
-
-    transient_b=(position, value) overwrites one byte of path B's
-    pre-shift last-round state, modeling the transient fault the scheme
-    is built to divert.
-    """
-    path_a, path_b = _bs_paths(_row(plaintext), round_keys, table_a,
-                               table_b, options, transient_b)
-    return (_bs_output(path_a, path_b)[0].tobytes(),
-            _bs_output(path_b, path_a)[0].tobytes())
-
-
-def bs_encrypt(
-    plaintext: bytes,
-    round_keys: list[bytes],
-    table_a: SBoxTable,
-    table_b: SBoxTable,
-    options: CipherOptions = DEFAULT_OPTIONS,
-    transient_b: tuple[int, int] | None = None,
-) -> bytes:
-    """The adversary-visible path-B ciphertext."""
-    return bs_encrypt_pair(plaintext, round_keys, table_a, table_b,
-                           options, transient_b)[1]
-
-
 def bs_encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
     table_a: SBoxTable,
     table_b: SBoxTable,
-    options: CipherOptions = DEFAULT_OPTIONS,
+    *,
+    shift_rows: bool = True,
 ) -> np.ndarray:
-    """Batched path-B ciphertexts (the adversary's view)."""
+    """Path-B ciphertexts of a byte-scrambled encryption (the
+    adversary's view)."""
     path_a, path_b = _bs_paths(plaintexts, round_keys, table_a, table_b,
-                               options)
+                               shift_rows)
     return _bs_output(path_b, path_a)

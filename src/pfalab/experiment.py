@@ -27,7 +27,6 @@ import numpy as np
 
 from .aes import (
     BLOCK_SIZE,
-    CipherOptions,
     block_from_hex,
     encrypt_blocks,
     key_expand,
@@ -193,7 +192,7 @@ class ExperimentResult:
     records: list = field(default_factory=list)
 
 
-def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
+def _encrypt_trial(config, round_keys, faulted, plaintexts, rco_rng):
     """One trial's emitted stream plus implementation-specific extras.
 
     Returns (public, attack_stream, zco_filter, extras): public is every
@@ -204,14 +203,15 @@ def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
     """
     impl = config.implementation
     if impl == ORI:
-        cts = encrypt_blocks(plaintexts, round_keys, faulted, options)
+        cts = encrypt_blocks(plaintexts, round_keys, faulted,
+                             shift_rows=config.shift_rows)
         return cts, cts, False, {}
     if impl == DMR:
         cfg = DmrConfig(mode=config.dmr_mode, defense=config.dmr_defense,
                         fault_scope=config.fault_scope)
         out, mismatch = dmr_encrypt_blocks(
             plaintexts, round_keys, AES_SBOX, faulted, cfg,
-            rng=rco_rng, options=options)
+            rng=rco_rng, shift_rows=config.shift_rows)
         extras = {"dmr_mismatches": int(mismatch.sum())}
         if cfg.defense == NCO:
             public = out[~mismatch]
@@ -226,7 +226,7 @@ def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
         else:
             table_a, table_b = faulted, AES_SBOX
         cts = bs_encrypt_blocks(plaintexts, round_keys, table_a, table_b,
-                                options)
+                                shift_rows=config.shift_rows)
         return cts, cts, False, {}
     if impl == DC:
         guard = GuardConfig(max_correction_rounds=config.dc_max_rounds)
@@ -238,7 +238,8 @@ def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
         else:
             working, report = faulted, CorrectionReport(converged=True,
                                                         rounds_used=0)
-        cts = encrypt_blocks(plaintexts, round_keys, working, options)
+        cts = encrypt_blocks(plaintexts, round_keys, working,
+                             shift_rows=config.shift_rows)
         extras = {
             "detected": detected,
             "correction": report.to_json_dict(),
@@ -247,7 +248,8 @@ def _encrypt_trial(config, round_keys, faulted, plaintexts, options, rco_rng):
         return cts, cts, False, extras
     if impl == DC_PRECORRECT:
         effective = precorrect_table(faulted, _redundant_tables())
-        cts = encrypt_blocks(plaintexts, round_keys, effective, options)
+        cts = encrypt_blocks(plaintexts, round_keys, effective,
+                             shift_rows=config.shift_rows)
         return cts, cts, False, {"table_restored": effective == AES_SBOX}
     raise ConfigError(f"unknown implementation {impl!r}")
 
@@ -306,10 +308,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     raw = pt_rng.randbytes(BLOCK_SIZE * config.n_ciphertexts)
     plaintexts = np.frombuffer(raw, dtype=np.uint8).reshape(
         config.n_ciphertexts, BLOCK_SIZE)
-    options = CipherOptions(shift_rows_enabled=config.shift_rows)
 
     public, attack_stream, zco_filter, extras = _encrypt_trial(
-        config, round_keys, faulted, plaintexts, options, rco_rng)
+        config, round_keys, faulted, plaintexts, rco_rng)
 
     x0, e0 = spec.faults[0]
     v = x0

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from pfalab.aes import (
-    _XT,
-    _XT4,
     BLOCK_SIZE,
     SHIFT_ROWS_PERM,
-    CipherOptions,
     _pairs,
     _sub,
+    _words,
+    _xtime_words,
     block_from_hex,
     block_to_hex,
     decrypt,
@@ -27,7 +26,6 @@ from pfalab.sbox import AES_INV_SBOX, AES_SBOX
 FIPS_KEY = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_PT = block_from_hex("3243f6a8885a308d313198a2e0370734")
 FIPS_CT = block_from_hex("3925841d02dc09fbdc118597196a0b32")
-NO_SHIFT = CipherOptions(shift_rows_enabled=False)
 
 
 def test_fips_example_vector():
@@ -66,15 +64,14 @@ def test_encrypt_decrypt_inverse():
 
 
 def test_inverse_without_shiftrows():
-    options = CipherOptions(shift_rows_enabled=False)
     rng = Rng(42)
     for _ in range(200):
         key = rng.randbytes(BLOCK_SIZE)
         pt = rng.randbytes(BLOCK_SIZE)
         rk = key_expand(key)
-        ct = encrypt(pt, rk, options=options)
+        ct = encrypt(pt, rk, shift_rows=False)
         assert ct != encrypt(pt, rk)
-        assert decrypt(ct, rk, options=options) == pt
+        assert decrypt(ct, rk, shift_rows=False) == pt
 
 
 def test_inverse_key_expand_round_trip():
@@ -137,12 +134,12 @@ def test_batched_matches_scalar_with_faulted_table():
     rng = Rng(45)
     rk = key_expand(rng.randbytes(BLOCK_SIZE))
     faulted = AES_SBOX.with_entry(0x42, 0x00)
-    options = CipherOptions(shift_rows_enabled=False)
     pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 64), dtype=np.uint8)
     pts = pts.reshape(64, BLOCK_SIZE)
-    cts = encrypt_blocks(pts, rk, faulted, options)
+    cts = encrypt_blocks(pts, rk, faulted, shift_rows=False)
     for i in range(64):
-        assert bytes(cts[i]) == encrypt(bytes(pts[i]), rk, faulted, options)
+        assert bytes(cts[i]) == encrypt(bytes(pts[i]), rk, faulted,
+                                        shift_rows=False)
 
 
 # Golden vectors recorded from the byte-at-a-time reference rounds that
@@ -150,13 +147,14 @@ def test_batched_matches_scalar_with_faulted_table():
 def test_golden_faulted_encrypt():
     rk = key_expand(FIPS_KEY)
     faulted = AES_SBOX.with_entry(0x00, 0x00)
-    for options, want in (
-            (CipherOptions(), "b53b26354eea9e66eff02111fca6e7ef"),
-            (NO_SHIFT, "de4a19166aca3b22a4db44ce6af0c504")):
-        assert encrypt(FIPS_PT, rk, faulted, options).hex() == want
+    for shift_rows, want in (
+            (True, "b53b26354eea9e66eff02111fca6e7ef"),
+            (False, "de4a19166aca3b22a4db44ce6af0c504")):
+        assert encrypt(FIPS_PT, rk, faulted,
+                       shift_rows=shift_rows).hex() == want
         row = np.frombuffer(FIPS_PT, dtype=np.uint8).reshape(1, BLOCK_SIZE)
-        assert encrypt_blocks(row, rk, faulted, options)[0].tobytes().hex() \
-            == want
+        out = encrypt_blocks(row, rk, faulted, shift_rows=shift_rows)
+        assert out[0].tobytes().hex() == want
 
 
 def test_golden_decrypt():
@@ -165,16 +163,16 @@ def test_golden_decrypt():
     assert decrypt(FIPS_PT, rk).hex() == "cb13389c1d59c1d50d11f6b90c38ce7f"
     assert decrypt(FIPS_PT, rk, inv_faulted).hex() == \
         "0a17d765f2c73e396bbace9011ff8f91"
-    assert decrypt(FIPS_PT, rk, inv_faulted, NO_SHIFT).hex() == \
+    assert decrypt(FIPS_PT, rk, inv_faulted, shift_rows=False).hex() == \
         "f935c7afbba5aef9f0f65a0bda6e5cb7"
 
 
 def test_golden_digest_of_faulted_cases(faulted_cases):
     h = hashlib.sha256()
     for _, rk, block, table, inv_table in faulted_cases:
-        for options in (CipherOptions(), NO_SHIFT):
-            h.update(encrypt(block, rk, table, options))
-            h.update(decrypt(block, rk, inv_table, options))
+        for shift_rows in (True, False):
+            h.update(encrypt(block, rk, table, shift_rows=shift_rows))
+            h.update(decrypt(block, rk, inv_table, shift_rows=shift_rows))
     assert h.hexdigest() == \
         "f3c6bba4904e759312bd88d5aaea304b7f5f5575dc091f41314a633215fed799"
 
@@ -207,26 +205,45 @@ TWO_FAULTS = inject(AES_SBOX, FaultSpec(((0x00, AES_SBOX[0x01]),
                                          (0x53, AES_SBOX[0x52]))))
 
 
-@pytest.mark.parametrize("name, pairs, table", [
-    ("sbox", _pairs(np.frombuffer(AES_SBOX.entries, dtype=np.uint8)),
-     AES_SBOX.entries),
-    ("two faults", _pairs(np.frombuffer(TWO_FAULTS.entries, dtype=np.uint8)),
-     TWO_FAULTS.entries),
-    ("xtime", _XT, bytes(_xtime(x) for x in range(256))),
-    ("xtime twice", _XT4, bytes(_xtime(_xtime(x)) for x in range(256))),
+def _gather(entries):
+    """SubBytes' pair gather for a 256-byte table."""
+    pairs = _pairs(np.frombuffer(entries, dtype=np.uint8))
+    return lambda src, out, idx: _sub(pairs, src, out, idx)
+
+
+def _lanes(times):
+    """{02} applied times times, as MixColumns runs it on uint64 words."""
+    def apply(src, out, idx):
+        words = _words(src)
+        for _ in range(times):
+            _xtime_words(words, _words(out), idx)
+            words = _words(out)
+    return apply
+
+
+@pytest.mark.parametrize("name, apply, table", [
+    ("sbox", _gather(AES_SBOX.entries), AES_SBOX.entries),
+    ("two faults", _gather(TWO_FAULTS.entries), TWO_FAULTS.entries),
+    ("xtime", _lanes(1), bytes(_xtime(x) for x in range(256))),
+    ("xtime twice", _lanes(2), bytes(_xtime(_xtime(x)) for x in range(256))),
 ])
-def test_pair_gather_matches_byte_lookup_on_every_pair(name, pairs, table):
+def test_pair_gather_matches_byte_lookup_on_every_pair(name, apply, table):
     assert not TWO_FAULTS.is_permutation()
-    # Every (first, second) byte pair once, as a (16, 8192) state.
+    # Every (first, second) byte pair once, as a (16, 8192) state.  The
+    # second byte is turned by the first, so that every byte value also
+    # meets every byte lane of a uint64 word.
     first, second = np.divmod(np.arange(1 << 16), 256)
+    second = (second + first) % 256
     flat = np.stack([first, second], axis=1).astype(np.uint8).reshape(-1)
+    lanes = flat.reshape(-1, 8)
+    assert all(len(np.unique(lanes[:, k])) == 256 for k in range(8))
     state = flat.reshape(BLOCK_SIZE, -1)
     out = np.empty_like(state)
     idx = np.empty(state.size // 2, dtype=np.intp)
-    _sub(pairs, state, out, idx)
+    apply(state, out, idx)
     want = np.frombuffer(table, dtype=np.uint8)[state]
     assert (out == want).all()
-    _sub(pairs, state, state, idx)  # in place
+    apply(state, state, idx)  # in place
     assert (state == want).all()
 
 
@@ -242,24 +259,24 @@ def test_batched_calls_match_golden_vectors_and_one_block_calls(n):
     blocks[golden_rows] = np.frombuffer(FIPS_PT, dtype=np.uint8)
     checked = range(0, n, max(1, n // 97))
     for args, want in (
-            ((encrypt_blocks, AES_SBOX, CipherOptions()), FIPS_CT),
-            ((encrypt_blocks, faulted, CipherOptions()),
+            ((encrypt_blocks, AES_SBOX, True), FIPS_CT),
+            ((encrypt_blocks, faulted, True),
              "b53b26354eea9e66eff02111fca6e7ef"),
-            ((encrypt_blocks, faulted, NO_SHIFT),
+            ((encrypt_blocks, faulted, False),
              "de4a19166aca3b22a4db44ce6af0c504"),
-            ((decrypt_blocks, AES_INV_SBOX, CipherOptions()),
+            ((decrypt_blocks, AES_INV_SBOX, True),
              "cb13389c1d59c1d50d11f6b90c38ce7f"),
-            ((decrypt_blocks, inv_faulted, CipherOptions()),
+            ((decrypt_blocks, inv_faulted, True),
              "0a17d765f2c73e396bbace9011ff8f91"),
-            ((decrypt_blocks, inv_faulted, NO_SHIFT),
+            ((decrypt_blocks, inv_faulted, False),
              "f935c7afbba5aef9f0f65a0bda6e5cb7")):
-        batched, table, options = args
+        batched, table, shift_rows = args
         one = encrypt if batched is encrypt_blocks else decrypt
-        out = batched(blocks, rk, table, options)
+        out = batched(blocks, rk, table, shift_rows=shift_rows)
         assert out.shape == (n, BLOCK_SIZE)
         want = want if isinstance(want, bytes) else bytes.fromhex(want)
         for i in golden_rows:
             assert out[i].tobytes() == want
         for i in checked:
             assert out[i].tobytes() == one(blocks[i].tobytes(), rk, table,
-                                           options)
+                                           shift_rows=shift_rows)

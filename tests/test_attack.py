@@ -37,38 +37,39 @@ def clean_stream(seed, n):
 
 def test_histogram_accumulation():
     hist = CiphertextHistogram()
-    hist.add(bytes(range(16)))
-    hist.add(bytes(range(16)))
+    hist.add_blocks(np.tile(np.arange(16, dtype=np.uint8), (2, 1)))
     assert hist.n == 2
     assert hist.counts[3, 3] == 2
     assert hist.counts[3, 4] == 0
     with pytest.raises(ValueError):
-        hist.add(b"short")
+        hist.add_blocks(np.zeros((1, 5), dtype=np.uint8))
 
 
-def test_histogram_add_blocks_matches_add():
+def test_histogram_add_blocks_matches_byte_counts():
     rng = Rng(61)
     blocks = np.frombuffer(rng.randbytes(BLOCK_SIZE * 500), dtype=np.uint8)
     blocks = blocks.reshape(500, BLOCK_SIZE)
-    one = CiphertextHistogram()
-    one.add_blocks(blocks)
-    other = CiphertextHistogram()
-    for row in blocks:
-        other.add(bytes(row))
-    assert (one.counts == other.counts).all()
-    assert one.n == other.n == 500
+    hist = CiphertextHistogram()
+    hist.add_blocks(blocks[:123])
+    hist.add_blocks(blocks[123:])
+    want = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
+    for block in blocks:
+        for j, value in enumerate(block):
+            want[j, value] += 1
+    assert (hist.counts == want).all()
+    assert hist.n == 500
 
 
-def test_histogram_merge_and_csv():
-    a = accumulate(np.zeros((3, 16), dtype=np.uint8))
-    b = accumulate(np.ones((2, 16), dtype=np.uint8))
-    merged = a.merge(b)
-    assert merged.n == 5
-    assert merged.counts[0, 0] == 3
-    assert merged.counts[0, 1] == 2
-    lines = merged.to_csv().splitlines()
+def test_histogram_to_csv():
+    hist = accumulate(np.vstack([np.zeros((3, 16), dtype=np.uint8),
+                                 np.ones((2, 16), dtype=np.uint8)]))
+    assert hist.n == 5
+    lines = hist.to_csv().splitlines()
     assert lines[0] == "position,value,count"
     assert lines[1] == "0,0,3"
+    assert lines[2] == "0,1,2"
+    assert lines[3] == "0,2,0"
+    assert lines[-1] == "15,255,0"
     assert len(lines) == 1 + 16 * 256
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from pfalab.aes import (
     BLOCK_SIZE,
-    CipherOptions,
     block_from_hex,
     encrypt,
     encrypt_blocks,
@@ -16,18 +15,14 @@ from pfalab.classic import (
     IDDMR,
     MODULE_ONE_ONLY,
     NCO,
-    OK,
     RCO,
     REDMR,
     SHARED,
-    SUPPRESSED,
     ZCO,
-    ZERO_BLOCK,
     DmrConfig,
-    bs_encrypt,
+    _bs_output,
+    _bs_paths,
     bs_encrypt_blocks,
-    bs_encrypt_pair,
-    dmr_encrypt,
     dmr_encrypt_blocks,
 )
 from pfalab.faults import FaultSpec, inject, random_faults
@@ -41,6 +36,34 @@ def fresh_material(seed):
     return rng, key, key_expand(key)
 
 
+def blocks(rng, n):
+    return np.frombuffer(rng.randbytes(BLOCK_SIZE * n),
+                         dtype=np.uint8).reshape(n, BLOCK_SIZE)
+
+
+def row(block):
+    """One block as a one-row batch."""
+    return np.frombuffer(block, dtype=np.uint8).reshape(1, BLOCK_SIZE)
+
+
+def dmr_one(block, rk, faulted, cfg, rng=None):
+    """What a DMR device emits for one block: (status, ciphertext or
+    None, mismatch), with NCO's suppressed output as None."""
+    out, mismatch = dmr_encrypt_blocks(row(block), rk, AES_SBOX, faulted,
+                                       cfg, rng)
+    if mismatch[0] and cfg.defense == NCO:
+        return "suppressed", None, True
+    return "ok", out[0].tobytes(), bool(mismatch[0])
+
+
+def bs_pair(block, rk, table_a, table_b, shift_rows=True, transient_b=None):
+    """Both path outputs of a byte-scrambled encryption of one block."""
+    path_a, path_b = _bs_paths(row(block), rk, table_a, table_b, shift_rows,
+                               transient_b)
+    return (_bs_output(path_a, path_b)[0].tobytes(),
+            _bs_output(path_b, path_a)[0].tobytes())
+
+
 def test_dmr_config_validation():
     with pytest.raises(ValueError):
         DmrConfig(mode="triple")
@@ -52,111 +75,101 @@ def test_dmr_config_validation():
 
 def test_dmr_pristine_matches_plain_encryption():
     rng, _, rk = fresh_material(21)
-    cfg = DmrConfig()
-    for _ in range(200):
-        pt = rng.randbytes(BLOCK_SIZE)
-        out = dmr_encrypt(pt, rk, AES_SBOX, AES_SBOX, cfg)
-        assert out.status == OK
-        assert out.mismatch is False
-        assert out.ciphertext == encrypt(pt, rk)
+    pts = blocks(rng, 200)
+    out, mismatch = dmr_encrypt_blocks(pts, rk, AES_SBOX, AES_SBOX,
+                                       DmrConfig())
+    assert not mismatch.any()
+    assert (out == encrypt_blocks(pts, rk)).all()
 
 
 def test_redmr_module_one_fires_iff_fault_touched():
     rng, _, rk = fresh_material(22)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     cfg = DmrConfig(mode=REDMR, defense=ZCO, fault_scope=MODULE_ONE_ONLY)
-    fired = 0
-    for _ in range(300):
-        pt = rng.randbytes(BLOCK_SIZE)
-        out = dmr_encrypt(pt, rk, AES_SBOX, faulted, cfg)
-        clean = encrypt(pt, rk)
-        touched = encrypt(pt, rk, faulted) != clean
-        assert out.mismatch == touched
-        if touched:
-            fired += 1
-            assert out.ciphertext == ZERO_BLOCK
-        else:
-            assert out.ciphertext == clean
-    assert 0 < fired < 300
+    pts = blocks(rng, 300)
+    out, mismatch = dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted, cfg)
+    clean = encrypt_blocks(pts, rk)
+    touched = (encrypt_blocks(pts, rk, faulted) != clean).any(axis=1)
+    assert (mismatch == touched).all()
+    assert (out[touched] == 0).all()
+    assert (out[~touched] == clean[~touched]).all()
+    assert 0 < touched.sum() < 300
 
 
 def test_redmr_shared_fault_never_fires():
     rng, _, rk = fresh_material(23)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    cfg = DmrConfig(fault_scope=SHARED)
-    for _ in range(200):
-        pt = rng.randbytes(BLOCK_SIZE)
-        out = dmr_encrypt(pt, rk, AES_SBOX, faulted, cfg)
-        assert out.mismatch is False
-        assert out.ciphertext == encrypt(pt, rk, faulted)
+    pts = blocks(rng, 200)
+    out, mismatch = dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted,
+                                       DmrConfig(fault_scope=SHARED))
+    assert not mismatch.any()
+    assert (out == encrypt_blocks(pts, rk, faulted)).all()
 
 
 def test_iddmr_agrees_with_redmr_module_one():
     rng, _, rk = fresh_material(24)
     faulted = inject(AES_SBOX, FaultSpec(((0x13, 0x37),)))
-    re_cfg = DmrConfig(mode=REDMR, fault_scope=MODULE_ONE_ONLY)
-    id_cfg = DmrConfig(mode=IDDMR, fault_scope=MODULE_ONE_ONLY)
-    for _ in range(200):
-        pt = rng.randbytes(BLOCK_SIZE)
-        a = dmr_encrypt(pt, rk, AES_SBOX, faulted, re_cfg)
-        b = dmr_encrypt(pt, rk, AES_SBOX, faulted, id_cfg)
-        assert a.mismatch == b.mismatch
+    pts = blocks(rng, 200)
+    masks = [dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted,
+                                DmrConfig(mode=mode,
+                                          fault_scope=MODULE_ONE_ONLY))[1]
+             for mode in (REDMR, IDDMR)]
+    assert (masks[0] == masks[1]).all()
 
 
 def test_defenses_share_the_mismatch_predicate():
     rng, _, rk = fresh_material(25)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    for _ in range(100):
-        pt = rng.randbytes(BLOCK_SIZE)
-        outs = {
-            defense: dmr_encrypt(pt, rk, AES_SBOX, faulted,
-                                 DmrConfig(defense=defense), rng=Rng(1))
-            for defense in (NCO, ZCO, RCO)
-        }
-        flags = {out.mismatch for out in outs.values()}
-        assert len(flags) == 1
-        if outs[ZCO].mismatch:
-            assert outs[NCO].status == SUPPRESSED
-            assert outs[NCO].ciphertext is None
-            assert outs[ZCO].ciphertext == ZERO_BLOCK
-            assert len(outs[RCO].ciphertext) == BLOCK_SIZE
+    pts = blocks(rng, 100)
+    outs = {
+        defense: dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted,
+                                    DmrConfig(defense=defense), rng=Rng(1))
+        for defense in (NCO, ZCO, RCO)
+    }
+    mismatch = outs[NCO][1]
+    assert mismatch.any()
+    for _, mask in outs.values():
+        assert (mask == mismatch).all()
+    assert (outs[ZCO][0][mismatch] == 0).all()
+    fill = Rng(1).randbytes(int(mismatch.sum()) * BLOCK_SIZE)
+    assert outs[RCO][0][mismatch].tobytes() == fill
 
 
 def test_rco_needs_an_rng():
     rng, _, rk = fresh_material(26)
     faulted = inject(AES_SBOX, FaultSpec(((0x00, 0x00),)))
-    cfg = DmrConfig(defense=RCO)
-    with pytest.raises(ValueError):
-        for _ in range(200):
-            dmr_encrypt(rng.randbytes(BLOCK_SIZE), rk, AES_SBOX, faulted, cfg)
+    with pytest.raises(ValueError, match="RCO defense needs an rng"):
+        dmr_encrypt_blocks(blocks(rng, 200), rk, AES_SBOX, faulted,
+                           DmrConfig(defense=RCO))
 
 
-def test_dmr_batched_matches_scalar():
+def test_dmr_rco_draws_match_row_chunks():
+    # One call on n rows draws what calls on consecutive chunks of those
+    # rows draw from one rng, so trials may encrypt in chunks.
     rng, _, rk = fresh_material(27)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00), (0x91, 0x11))))
-    pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 300), dtype=np.uint8)
-    pts = pts.reshape(300, BLOCK_SIZE)
-    for defense in (NCO, ZCO, RCO):
-        cfg = DmrConfig(defense=defense)
-        out, mask = dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted, cfg,
-                                       rng=Rng(55))
-        scalar_rng = Rng(55)
-        for i in range(300):
-            res = dmr_encrypt(bytes(pts[i]), rk, AES_SBOX, faulted, cfg,
-                              rng=scalar_rng)
-            assert bool(mask[i]) == res.mismatch
-            if res.ciphertext is not None:
-                assert bytes(out[i]) == res.ciphertext
+    pts = blocks(rng, 300)
+    for mode in (REDMR, IDDMR):
+        cfg = DmrConfig(mode=mode, defense=RCO)
+        out, mismatch = dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted, cfg,
+                                           rng=Rng(55))
+        chunk_rng = Rng(55)
+        chunks = [dmr_encrypt_blocks(pts[a:b], rk, AES_SBOX, faulted, cfg,
+                                     rng=chunk_rng)
+                  for a, b in ((0, 1), (1, 8), (8, 300))]
+        assert (np.concatenate([c[0] for c in chunks]) == out).all()
+        assert (np.concatenate([c[1] for c in chunks]) == mismatch).all()
+        assert mismatch[1:8].any() and mismatch[8:].any()
+        assert not mismatch.all()
 
 
 def test_bs_pristine_paths_match_plain_encryption():
     rng, _, rk = fresh_material(28)
-    for _ in range(200):
-        pt = rng.randbytes(BLOCK_SIZE)
-        a, b = bs_encrypt_pair(pt, rk, AES_SBOX, AES_SBOX)
-        clean = encrypt(pt, rk)
-        assert a == clean
-        assert b == clean
+    pts = blocks(rng, 200)
+    path_a, path_b = _bs_paths(pts, rk, AES_SBOX, AES_SBOX)
+    clean = encrypt_blocks(pts, rk)
+    assert (_bs_output(path_a, path_b) == clean).all()
+    assert (_bs_output(path_b, path_a) == clean).all()
 
 
 def test_bs_shared_fault_equals_plain_faulted_encryption():
@@ -164,26 +177,25 @@ def test_bs_shared_fault_equals_plain_faulted_encryption():
     for trial in range(100):
         spec = random_faults(trial, 1)
         faulted = inject(AES_SBOX, spec)
-        pt = rng.randbytes(BLOCK_SIZE)
-        assert bs_encrypt(pt, rk, faulted, faulted) == \
-            encrypt(pt, rk, faulted)
+        pts = blocks(rng, 3)
+        assert (bs_encrypt_blocks(pts, rk, faulted, faulted)
+                == encrypt_blocks(pts, rk, faulted)).all()
 
 
 def test_bs_swapping_tables_swaps_outputs():
     rng, _, rk = fresh_material(30)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    for _ in range(100):
-        pt = rng.randbytes(BLOCK_SIZE)
-        a1, b1 = bs_encrypt_pair(pt, rk, AES_SBOX, faulted)
-        a2, b2 = bs_encrypt_pair(pt, rk, faulted, AES_SBOX)
-        assert (a1, b1) == (b2, a2)
+    pts = blocks(rng, 100)
+    a1, b1 = _bs_paths(pts, rk, AES_SBOX, faulted)
+    a2, b2 = _bs_paths(pts, rk, faulted, AES_SBOX)
+    assert (_bs_output(a1, b1) == _bs_output(b2, a2)).all()
+    assert (_bs_output(b1, a1) == _bs_output(a2, b2)).all()
 
 
 def _corrupt_one_byte(pt, rk, q):
     # One of two values must differ from the actual pre-shift byte.
     for value in (0xAA, 0x55):
-        a, b = bs_encrypt_pair(pt, rk, AES_SBOX, AES_SBOX,
-                               transient_b=(q, value))
+        a, b = bs_pair(pt, rk, AES_SBOX, AES_SBOX, transient_b=(q, value))
         clean = encrypt(pt, rk)
         if a != clean or b != clean:
             return a, b, clean
@@ -212,29 +224,17 @@ def test_bs_transient_at_origin_lands_in_path_a():
     assert a[1:] == clean[1:]
 
 
-def test_bs_batched_matches_scalar():
-    rng, _, rk = fresh_material(33)
-    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 200), dtype=np.uint8)
-    pts = pts.reshape(200, BLOCK_SIZE)
-    for table_a, table_b in ((AES_SBOX, faulted), (faulted, faulted)):
-        cts = bs_encrypt_blocks(pts, rk, table_a, table_b)
-        for i in range(0, 200, 11):
-            assert bytes(cts[i]) == bs_encrypt(bytes(pts[i]), rk,
-                                               table_a, table_b)
-
-
 def test_bs_with_one_shared_table_is_plain_encryption():
     rng, _, rk = fresh_material(35)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00), (0x43, 0x01))))
-    pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 301), dtype=np.uint8)
-    pts = pts.reshape(301, BLOCK_SIZE)
+    pts = blocks(rng, 301)
     for table in (AES_SBOX, faulted):
-        for options in (CipherOptions(), CipherOptions(False)):
-            want = encrypt_blocks(pts, rk, table, options)
+        for shift_rows in (True, False):
+            want = encrypt_blocks(pts, rk, table, shift_rows=shift_rows)
             # An equal table that is a different object shares as well.
             for table_b in (table, SBoxTable(table.entries)):
-                assert (bs_encrypt_blocks(pts, rk, table, table_b, options)
+                assert (bs_encrypt_blocks(pts, rk, table, table_b,
+                                          shift_rows=shift_rows)
                         == want).all()
 
 
@@ -249,7 +249,7 @@ def test_bs_two_tables_or_a_transient_still_run_two_paths():
     differed = 0
     for _ in range(40):
         pt = rng.randbytes(BLOCK_SIZE)
-        a, b = bs_encrypt_pair(pt, rk, faulted, AES_SBOX)
+        a, b = bs_pair(pt, rk, faulted, AES_SBOX)
         c_a, c_b = encrypt(pt, rk, faulted), encrypt(pt, rk)
         assert (a, b) == (_crossed(c_a, c_b), _crossed(c_b, c_a))
         differed += a != b
@@ -258,8 +258,7 @@ def test_bs_two_tables_or_a_transient_still_run_two_paths():
     pt = rng.randbytes(BLOCK_SIZE)
     clean = encrypt(pt, rk, faulted)
     for q in range(BLOCK_SIZE):
-        pairs = [bs_encrypt_pair(pt, rk, faulted, faulted,
-                                 transient_b=(q, value))
+        pairs = [bs_pair(pt, rk, faulted, faulted, transient_b=(q, value))
                  for value in (0xAA, 0x55)]
         assert any(a != b for a, b in pairs)
         assert all(clean in (a, b) for a, b in pairs)
@@ -267,12 +266,11 @@ def test_bs_two_tables_or_a_transient_still_run_two_paths():
 
 def test_bs_without_shiftrows_still_pairs_up():
     rng, _, rk = fresh_material(34)
-    options = CipherOptions(shift_rows_enabled=False)
-    for _ in range(50):
-        pt = rng.randbytes(BLOCK_SIZE)
-        a, b = bs_encrypt_pair(pt, rk, AES_SBOX, AES_SBOX, options=options)
-        clean = encrypt(pt, rk, options=options)
-        assert a == clean and b == clean
+    pts = blocks(rng, 50)
+    path_a, path_b = _bs_paths(pts, rk, AES_SBOX, AES_SBOX, shift_rows=False)
+    clean = encrypt_blocks(pts, rk, shift_rows=False)
+    assert (_bs_output(path_a, path_b) == clean).all()
+    assert (_bs_output(path_b, path_a) == clean).all()
 
 
 # Golden vectors recorded from the byte-at-a-time reference rounds that
@@ -285,25 +283,23 @@ FAULTED_00 = AES_SBOX.with_entry(0x00, 0x00)
 
 def test_bs_golden_pairs():
     rk = key_expand(FIPS_KEY)
-    no_shift = CipherOptions(shift_rows_enabled=False)
     cases = (
-        ((AES_SBOX, FAULTED_00), CipherOptions(), None,
+        ((AES_SBOX, FAULTED_00), True, None,
          ("b525261d02ea0966ef11219719a60bef",
           "393b84354edc9efbdcf08511fc6ae732")),
-        ((FAULTED_00, AES_SBOX), CipherOptions(), (6, 0xA5),
+        ((FAULTED_00, AES_SBOX), True, (6, 0xA5),
          ("393b84354edc9efbdcf08511fc6ae732",
           "b525261d02ea0966ef11219719a6a9ef")),
-        ((FAULTED_00, AES_SBOX), no_shift, (6, 0xA5),
+        ((FAULTED_00, AES_SBOX), False, (6, 0xA5),
          ("de4a19166aca3b22cadbc5ce6af0c504",
           "de4a19166aca8022a414447c6af0c504")),
     )
-    for (table_a, table_b), options, transient, want in cases:
-        pair = bs_encrypt_pair(FIPS_PT, rk, table_a, table_b, options,
-                               transient)
+    for (table_a, table_b), shift_rows, transient, want in cases:
+        pair = bs_pair(FIPS_PT, rk, table_a, table_b, shift_rows, transient)
         assert tuple(c.hex() for c in pair) == want
         if transient is None:
-            row = np.frombuffer(FIPS_PT, dtype=np.uint8).reshape(1, -1)
-            cts = bs_encrypt_blocks(row, rk, table_a, table_b, options)
+            cts = bs_encrypt_blocks(row(FIPS_PT), rk, table_a, table_b,
+                                    shift_rows=shift_rows)
             assert cts[0].tobytes().hex() == want[1]
 
 
@@ -311,24 +307,24 @@ def test_dmr_golden_defenses():
     rk = key_expand(FIPS_KEY)
     for mode in (REDMR, IDDMR):
         for defense, status, want in (
-                (NCO, SUPPRESSED, None),
-                (ZCO, OK, "00" * BLOCK_SIZE),
-                (RCO, OK, "5ac389a30c3b0363f83697934d3197c0")):
-            out = dmr_encrypt(FIPS_PT, rk, AES_SBOX, FAULTED_00,
-                              DmrConfig(mode=mode, defense=defense),
-                              rng=Rng(5))
-            assert out.mismatch is True
-            assert out.status == status
-            assert (out.ciphertext and out.ciphertext.hex()) == want
+                (NCO, "suppressed", None),
+                (ZCO, "ok", "00" * BLOCK_SIZE),
+                (RCO, "ok", "5ac389a30c3b0363f83697934d3197c0")):
+            got, ciphertext, mismatch = dmr_one(
+                FIPS_PT, rk, FAULTED_00,
+                DmrConfig(mode=mode, defense=defense), Rng(5))
+            assert mismatch is True
+            assert got == status
+            assert (ciphertext and ciphertext.hex()) == want
 
 
 def test_golden_digests_of_faulted_cases(faulted_cases):
     h = hashlib.sha256()
     for i, rk, block, table, _ in faulted_cases:
-        for options in (CipherOptions(), CipherOptions(False)):
-            for pair in (bs_encrypt_pair(block, rk, table, AES_SBOX, options),
-                         bs_encrypt_pair(block, rk, AES_SBOX, table, options,
-                                         (i % 16, 37 * i % 256))):
+        for shift_rows in (True, False):
+            for pair in (bs_pair(block, rk, table, AES_SBOX, shift_rows),
+                         bs_pair(block, rk, AES_SBOX, table, shift_rows,
+                                 (i % 16, 37 * i % 256))):
                 h.update(b"".join(pair))
     assert h.hexdigest() == \
         "1c9e3069a5bbf0e1a1d1f74f23c28ae345384f1073bccdc6ef93be7dcbcc54a0"
@@ -337,10 +333,10 @@ def test_golden_digests_of_faulted_cases(faulted_cases):
         for defense in (NCO, ZCO, RCO):
             rng = Rng(7)  # one stream per configuration, drawn in order
             for _, rk, block, table, _ in faulted_cases:
-                out = dmr_encrypt(block, rk, AES_SBOX, table,
-                                  DmrConfig(mode, defense), rng)
-                h.update(f"{out.status},{out.mismatch},".encode()
-                         + (out.ciphertext or b"-"))
+                status, ciphertext, mismatch = dmr_one(
+                    block, rk, table, DmrConfig(mode, defense), rng)
+                h.update(f"{status},{mismatch},".encode()
+                         + (ciphertext or b"-"))
     assert h.hexdigest() == \
         "d83cf4545403ffbe91704d7840fecefb00a8cbff5d26aebdcf5cbf7574e98531"
 
@@ -350,22 +346,13 @@ def test_golden_digests_of_faulted_cases(faulted_cases):
 def test_bs_rejects_transient_outside_the_block(transient):
     rk = key_expand(FIPS_KEY)
     with pytest.raises(ValueError, match="transient_b"):
-        bs_encrypt_pair(FIPS_PT, rk, AES_SBOX, AES_SBOX,
-                        transient_b=transient)
-    with pytest.raises(ValueError, match="transient_b"):
-        bs_encrypt(FIPS_PT, rk, AES_SBOX, AES_SBOX, transient_b=transient)
+        _bs_paths(row(FIPS_PT), rk, AES_SBOX, AES_SBOX,
+                  transient_b=transient)
 
 
 def test_classic_calls_reject_malformed_blocks():
     rk = key_expand(FIPS_KEY)
     cfg = DmrConfig()
-    for block in (b"", FIPS_PT[:15], FIPS_PT + b"\x00"):
-        with pytest.raises(ValueError, match="expected a 16-byte block"):
-            bs_encrypt_pair(block, rk, AES_SBOX, AES_SBOX)
-        with pytest.raises(ValueError, match="expected a 16-byte block"):
-            bs_encrypt(block, rk, AES_SBOX, AES_SBOX, transient_b=(0, 1))
-        with pytest.raises(ValueError, match="expected a 16-byte block"):
-            dmr_encrypt(block, rk, AES_SBOX, AES_SBOX, cfg)
     for shape in ((16,), (4, 15), (4, 17)):
         blocks = np.zeros(shape, dtype=np.uint8)
         with pytest.raises(ValueError, match=r"expected an \(n, 16\) array"):

@@ -187,8 +187,8 @@ def test_curve_probabilities_are_exact_integer_ratios(monkeypatch):
     streams = []
     encrypt = experiment.encrypt_blocks
 
-    def capture(*args):
-        streams.append(encrypt(*args))
+    def capture(*args, **kwargs):
+        streams.append(encrypt(*args, **kwargs))
         return streams[-1]
 
     monkeypatch.setattr(experiment, "encrypt_blocks", capture)

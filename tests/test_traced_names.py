@@ -59,8 +59,7 @@ def test_dmr_calls_go_through_the_classic_names(monkeypatch):
     dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted, DmrConfig(mode=REDMR))
     assert calls == {"encrypt_blocks": 2}
     dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted, DmrConfig(mode=IDDMR))
-    classic.dmr_encrypt(bytes(BLOCK_SIZE), rk, AES_SBOX, faulted,
-                        DmrConfig(mode=IDDMR))
+    dmr_encrypt_blocks(pts[:1], rk, AES_SBOX, faulted, DmrConfig(mode=IDDMR))
     assert calls == {"encrypt_blocks": 4, "decrypt_blocks": 2}
 
 
@@ -72,8 +71,7 @@ def test_bs_calls_go_through_the_classic_names(monkeypatch):
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     classic.bs_encrypt_blocks(pts, rk, faulted, faulted)
     assert calls == {"encrypt_blocks": 1}
-    classic.bs_encrypt_pair(bytes(BLOCK_SIZE), rk, faulted, faulted,
-                            transient_b=(3, 0xA5))
+    classic._bs_paths(pts[:1], rk, faulted, faulted, transient_b=(3, 0xA5))
     assert calls == {"encrypt_blocks": 2}
     classic.bs_encrypt_blocks(pts, rk, faulted, AES_SBOX)
     assert calls == {"encrypt_blocks": 4}
