@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -205,29 +206,32 @@ TWO_FAULTS = inject(AES_SBOX, FaultSpec(((0x00, AES_SBOX[0x01]),
                                          (0x53, AES_SBOX[0x52]))))
 
 
+# Both helpers return partials: they carry no __name__, so pytest names the
+# cases pairs0..pairs3 by position.
 def _gather(entries):
     """SubBytes' pair gather for a 256-byte table."""
-    pairs = _pairs(np.frombuffer(entries, dtype=np.uint8))
-    return lambda src, out, idx: _sub(pairs, src, out, idx)
+    return partial(_sub, _pairs(np.frombuffer(entries, dtype=np.uint8)))
+
+
+def _xtime_times(times, src, out, idx):
+    """{02} applied times times, as MixColumns runs it on uint64 words."""
+    words = _words(src)
+    for _ in range(times):
+        _xtime_words(words, _words(out), idx)
+        words = _words(out)
 
 
 def _lanes(times):
-    """{02} applied times times, as MixColumns runs it on uint64 words."""
-    def apply(src, out, idx):
-        words = _words(src)
-        for _ in range(times):
-            _xtime_words(words, _words(out), idx)
-            words = _words(out)
-    return apply
+    return partial(_xtime_times, times)
 
 
-@pytest.mark.parametrize("name, apply, table", [
+@pytest.mark.parametrize("name, pairs, table", [
     ("sbox", _gather(AES_SBOX.entries), AES_SBOX.entries),
     ("two faults", _gather(TWO_FAULTS.entries), TWO_FAULTS.entries),
     ("xtime", _lanes(1), bytes(_xtime(x) for x in range(256))),
     ("xtime twice", _lanes(2), bytes(_xtime(_xtime(x)) for x in range(256))),
 ])
-def test_pair_gather_matches_byte_lookup_on_every_pair(name, apply, table):
+def test_pair_gather_matches_byte_lookup_on_every_pair(name, pairs, table):
     assert not TWO_FAULTS.is_permutation()
     # Every (first, second) byte pair once, as a (16, 8192) state.  The
     # second byte is turned by the first, so that every byte value also
@@ -240,10 +244,10 @@ def test_pair_gather_matches_byte_lookup_on_every_pair(name, apply, table):
     state = flat.reshape(BLOCK_SIZE, -1)
     out = np.empty_like(state)
     idx = np.empty(state.size // 2, dtype=np.intp)
-    apply(state, out, idx)
+    pairs(state, out, idx)
     want = np.frombuffer(table, dtype=np.uint8)[state]
     assert (out == want).all()
-    apply(state, state, idx)  # in place
+    pairs(state, state, idx)  # in place
     assert (state == want).all()
 
 
