@@ -264,30 +264,53 @@ def _redundant_tables():
     return build_redundant_tables(AES_SBOX)
 
 
-def _curve_rows(public: np.ndarray, positions, grid_step: int) -> list:
-    """Running per-value frequency estimates over the emitted stream.
+@dataclass(frozen=True, eq=False)
+class Curves:
+    """A tracked trial's running per-value counts over its emitted stream.
 
-    One [position, value, n, count / n] row per value at every grid point
-    n.  The float64 division is correctly rounded, as Python's int / int
-    is, so the probabilities equal the exact-integer ones.
+    counts[i, j, value] is how often value was seen at byte positions[i]
+    in the first points[j] emitted blocks.  render_files formats it as one
+    position,value,n,count / n row per value at every grid point.  The
+    arrays are read-only views, and equality compares content.
     """
+
+    positions: tuple
+    points: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("points", "counts"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __eq__(self, other):
+        if not isinstance(other, Curves):
+            return NotImplemented
+        return (self.positions == other.positions
+                and np.array_equal(self.points, other.points)
+                and np.array_equal(self.counts, other.counts))
+
+
+def _curve_counts(public: np.ndarray, positions, grid_step: int) -> Curves:
+    """Per-value counts of the emitted stream at every grid_step blocks."""
     points = np.arange(grid_step, public.shape[0] + 1, grid_step)
     segment = np.repeat(np.arange(points.size), grid_step)
-    rows = []
-    for position in positions:
-        counts = np.bincount(segment * 256 + public[:segment.size, position],
-                             minlength=points.size * 256)
-        counts = counts.reshape(points.size, 256).cumsum(axis=0)
-        for n_seen, probabilities in zip(points.tolist(),
-                                         counts / points[:, None]):
-            rows.extend([position, value, n_seen, probability]
-                        for value, probability
-                        in enumerate(probabilities.tolist()))
-    return rows
+    counts = np.empty((len(positions), points.size, 256), dtype=np.int64)
+    for i, position in enumerate(positions):
+        seen = np.bincount(segment * 256 + public[:segment.size, position],
+                           minlength=points.size * 256)
+        np.cumsum(seen.reshape(points.size, 256), axis=0, out=counts[i])
+    return Curves(positions, points, counts)
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    """Run one seeded trial and return its JSON-safe record."""
+    """Run one seeded trial and return its record.
+
+    Every value is JSON-safe except a tracked trial's "curves", which
+    holds the per-value counts as a Curves; render_files writes them out
+    as rows in curves.csv and in the record's line.
+    """
     key_rng = Rng(derive_seed(config.seed, trial, "key"))
     fault_rng = Rng(derive_seed(config.seed, trial, "fault"))
     pt_rng = Rng(derive_seed(config.seed, trial, "plaintext"))
@@ -355,8 +378,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         record["residual_keyspace_bits"] = estimate_residual_keyspace(
             config.n_faults)
     if trial < config.curve_trials:
-        record["curves"] = _curve_rows(public, config.curve_positions,
-                                       config.curve_grid)
+        record["curves"] = _curve_counts(public, config.curve_positions,
+                                         config.curve_grid)
     return record
 
 
@@ -402,40 +425,49 @@ def emit_table3(records) -> str:
 _CURVES_HEADER = "trial,position,value,n,probability\n"
 
 
-def _curve_body(rows) -> str:
-    """The rows as position,value,n,probability lines, formatted once.
+# Grid points formatted at a time.  A block's lines are joined into one
+# string, so a long stream's line pieces are never all held at once.
+_BLOCK_POINTS = 128
 
-    Rows of one grid point share their position and n, and most of their
-    probabilities, so each of its distinct probabilities is repr'd once
-    and its lines are joined into one chunk.
+
+def _curve_blocks(curves: Curves, trial: int):
+    """Yield a tracked trial's curves.csv lines and record rows as text, a
+    block of grid points at a time.
+
+    Each (positions[i], points[j], value) gives the row
+    position,value,n,count / n (repr'd) for n = points[j] and
+    count = counts[i, j, value], in counts order.  Its CSV line puts
+    "trial," before the row and a newline after it; its record row is
+    the row in brackets and a comma.  The heads are formatted once per
+    position and the tails once per distinct (n, count) pair of a block.
+    The float64 division is correctly rounded, as Python's int / int is,
+    so the probabilities equal the exact-integer ones.
     """
-    chunks, lines = [], []
-    point = None
-    for position, value, n_seen, probability in rows:
-        if (position, n_seen) != point:
-            chunks.append("".join(lines))
-            lines, tails = [], {}
-            point = (position, n_seen)
-            head = f"{position},"
-        tail = tails.get(probability)
-        if tail is None:
-            tail = tails[probability] = f",{n_seen},{probability!r}\n"
-        lines.append(f"{head}{value}{tail}")
-    chunks.append("".join(lines))
-    return "".join(chunks)
+    for position, per_point in zip(curves.positions, curves.counts):
+        cells = [f"{position},{value}" for value in range(256)]
+        csv_heads = np.array([f"{trial},{cell}" for cell in cells],
+                             dtype=object)
+        json_heads = np.array(["[" + cell for cell in cells], dtype=object)
+        for start in range(0, curves.points.size, _BLOCK_POINTS):
+            points = curves.points[start:start + _BLOCK_POINTS]
+            counts = per_point[start:start + _BLOCK_POINTS]
+            keys = counts * points.size + np.arange(points.size)[:, None]
+            pairs, inverse = np.unique(keys, return_inverse=True)
+            n_seen = points[pairs % points.size]
+            probabilities = pairs // points.size / n_seen
+            tails = [f",{n},{probability!r}" for n, probability
+                     in zip(n_seen.tolist(), probabilities.tolist())]
+            at = inverse.reshape(counts.shape)
+            yield (_joined(csv_heads, [tail + "\n" for tail in tails], at),
+                   _joined(json_heads, [tail + "]," for tail in tails], at))
 
 
-def _csv_lines(trial, body: str) -> str:
-    """curves.csv lines of one tracked trial: its body, trial first."""
-    prefix = f"{trial},"
-    return (prefix + body.replace("\n", "\n" + prefix))[:-len(prefix)]
-
-
-def _json_rows(body: str) -> str:
-    """The canonical JSON of the rows a body was formatted from."""
-    if not body:
-        return "[]"
-    return "[[" + body[:-1].replace("\n", "],[") + "]]"
+def _joined(heads, tails, at) -> str:
+    """heads[value] + tails[at[j, value]] for every cell of at, joined."""
+    pieces = np.empty((*at.shape, 2), dtype=object)
+    pieces[..., 0] = heads
+    pieces[..., 1] = np.array(tails, dtype=object)[at]
+    return "".join(pieces.ravel().tolist())
 
 
 def summarize(records) -> str:
@@ -460,20 +492,23 @@ def render_files(result: ExperimentResult) -> dict:
     """The run directory's contents as filename -> text.
 
     Byte-for-byte reproducible: identical configs yield identical file
-    contents, which `--check` relies on.  A tracked record's curve rows
-    are formatted once, and both its curves.csv lines and its record
-    line's "curves" value are cut from that text.
+    contents, which `--check` relies on.  A tracked record's curves.csv
+    lines and its record line's "curves" rows are both formatted from its
+    counts.
     """
     records, curves = [], [_CURVES_HEADER]
     for record in result.records:
         if "curves" not in record:
             records.append(_canonical_json(record) + "\n")
             continue
-        body = _curve_body(record["curves"])
-        curves.append(_csv_lines(record["trial"], body))
-        line = _canonical_json({**record, "curves": None})
-        records.append(line.replace('"curves":null',
-                                    '"curves":' + _json_rows(body), 1) + "\n")
+        blocks = list(_curve_blocks(record["curves"], record["trial"]))
+        curves += (lines for lines, _ in blocks)
+        rows = [row for _, row in blocks]
+        if rows:
+            rows[-1] = rows[-1][:-1]        # no comma after the last row
+        before, _, after = _canonical_json(
+            {**record, "curves": None}).partition('"curves":null')
+        records += [before, '"curves":[', *rows, "]", after, "\n"]
     return {
         "config.json": _canonical_json(result.config.to_json_dict()) + "\n",
         "records.jsonl": "".join(records),

@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from pfalab import experiment
 from pfalab.classic import MODULE_ONE_ONLY, NCO, RCO, SHARED
 from pfalab.experiment import (
     ConfigError,
+    Curves,
     ExperimentConfig,
     emit_table3,
     render_files,
@@ -121,13 +124,26 @@ def test_curves_only_on_tracked_trials():
     records = run_experiment(config).records
     assert "curves" in records[0] and "curves" in records[1]
     assert "curves" not in records[2]
-    rows = records[0]["curves"]
-    assert len(rows) == 2 * (600 // 300) * 256
-    for n_seen in (300, 600):
-        for position in (0, 7):
-            bucket = [r for r in rows if r[0] == position and r[2] == n_seen]
-            assert len(bucket) == 256
-            assert sum(r[3] for r in bucket) == pytest.approx(1.0)
+    curves = records[0]["curves"]
+    assert curves.positions == (0, 7)
+    assert curves.points.tolist() == [300, 600]
+    assert curves.counts.shape == (2, 2, 256)
+    # Each (position, n) bucket's 256 probabilities count / n sum to one.
+    assert (curves.counts.sum(axis=2) == curves.points).all()
+
+
+def test_curves_are_a_frozen_value():
+    curves = run_trial(small(), 0)["curves"]
+    copy = Curves(curves.positions, curves.points.copy(), curves.counts.copy())
+    assert copy == curves and copy is not curves
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        curves.counts = None
+    with pytest.raises(ValueError):
+        curves.counts[0, 0, 0] += 1
+    counts = curves.counts.copy()
+    counts[0, -1, 0] += 1
+    assert dataclasses.replace(curves, counts=counts) != curves
+    assert dataclasses.replace(curves, positions=(1,)) != curves
 
 
 def _digests(result):
@@ -165,21 +181,93 @@ def test_artifacts_match_golden_digests(case):
     if case == "dmr_nco_partial_grid":
         assert all(r["n_emitted"] % 200 for r in result.records[:2])
     if case == "stream_below_grid":
-        assert result.records[0]["curves"] == []
+        assert result.records[0]["curves"].counts.shape == (1, 0, 256)
     assert _digests(result) == (records_sha, curves_sha)
 
 
 def test_exponent_probabilities_match_golden_digests():
     # Emitted values are near uniform, so no run at a feasible n prints
-    # a probability below 1e-4; hand-made rows at n = 1e6 and 3e6 do.
+    # a probability below 1e-4; hand-made counts at n = 1e6 and 3e6 do.
+    # The digests are of the per-row formatter's files for the same rows.
     result = run_experiment(small(n_trials=2))
-    result.records[0]["curves"] = [
-        [3, value, n, count / n] for n in (1_000_000, 3_000_000)
-        for value, count in enumerate((0, 1, 3, 7, 99, 100, 12345, n - 1, n))]
+    points = np.array([1_000_000, 3_000_000])
+    counts = np.zeros((1, 2, 256), dtype=np.int64)
+    for j, n in enumerate(points.tolist()):
+        counts[0, j, :9] = (0, 1, 3, 7, 99, 100, 12345, n - 1, n)
+    result.records[0]["curves"] = Curves((3,), points, counts)
     assert "1e-06" in render_files(result)["curves.csv"]
     assert _digests(result) == (
-        "839b1a1c0fd1a79abaa1106aeebb7046e68753635d5f2b755a8daaf7a12e798b",
-        "8665053f615f38ceb78befa3fcfc84544450b0a350ebbb86e156f0be8b00a5ca")
+        "31d587fc3872fa5ac80655f295b83f2366e8d4bad36dd050701bc406bb066ac9",
+        "858f5fedeb0b02cb52ab22ffc83ae3dc91ac82c2839edc9b7c3144877a1660e8")
+
+
+def _reference_rows(curves):
+    """The rows as lists, as records held them before they held counts."""
+    return [[position, value, n, count / n]
+            for position, per_point in zip(curves.positions,
+                                           curves.counts.tolist())
+            for n, per_value in zip(curves.points.tolist(), per_point)
+            for value, count in enumerate(per_value)]
+
+
+def _curves_case(positions, points, fill):
+    points = np.asarray(points, dtype=np.int64)
+    counts = np.empty((len(positions), points.size, 256), dtype=np.int64)
+    for j, n in enumerate(points.tolist()):
+        counts[:, j] = fill(n, counts[:, j].shape)
+    return Curves(tuple(positions), points, counts)
+
+
+def _uniform(seed):
+    draw = np.random.default_rng(seed)
+    return lambda n, shape: draw.integers(0, n + 1, shape)
+
+
+def _edges(n, shape):
+    # counts 0 and n, and the exponent-form ratios 1/n, 3/n and 7/n
+    row = np.resize([0, n, 1, 3, 7, n - 1, n // 3], shape[-1])
+    return np.broadcast_to(np.minimum(row, n), shape)
+
+
+CURVE_CASES = {
+    "no_grid_points": lambda: _curves_case((0,), [], _uniform(1)),
+    "no_positions": lambda: _curves_case((), [100, 200], _uniform(2)),
+    "repeated_positions": lambda: _curves_case((5, 5, 2), [100, 200, 300],
+                                               _uniform(3)),
+    "more_points_than_a_block": lambda: _curves_case(
+        (9,), np.arange(1, experiment._BLOCK_POINTS + 3) * 7, _uniform(4)),
+    "zero_and_full_counts": lambda: _curves_case((0, 15), [1, 2, 100],
+                                                 _edges),
+    "exponent_form": lambda: _curves_case((3,), [1_000_000, 3_000_000],
+                                          _edges),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+@pytest.mark.parametrize("block_points", [1, 2, None])
+def test_curve_text_matches_the_per_row_formatter(case, block_points,
+                                                  monkeypatch):
+    if block_points is not None:
+        monkeypatch.setattr(experiment, "_BLOCK_POINTS", block_points)
+    curves = CURVE_CASES[case]()
+    result = run_experiment(small(n_trials=3, curve_trials=0))
+    for trial in (0, 2):
+        result.records[trial]["curves"] = curves
+    files = render_files(result)
+
+    rows = _reference_rows(curves)
+    expected = ["trial,position,value,n,probability\n"]
+    expected += (f"{trial},{position},{value},{n},{probability!r}\n"
+                 for trial in (0, 2)
+                 for position, value, n, probability in rows)
+    assert files["curves.csv"] == "".join(expected)
+    lines = files["records.jsonl"].splitlines(keepends=True)
+    assert lines[1] == experiment._canonical_json(result.records[1]) + "\n"
+    for trial in (0, 2):
+        record = {**result.records[trial], "curves": rows}
+        assert lines[trial] == experiment._canonical_json(record) + "\n"
+    if case == "exponent_form":
+        assert ",1e-06\n" in files["curves.csv"]
 
 
 def test_curve_probabilities_are_exact_integer_ratios(monkeypatch):
@@ -206,10 +294,12 @@ def test_curve_probabilities_are_exact_integer_ratios(monkeypatch):
                     expected += (f"{trial},{position},{value},{n_seen},"
                                  f"{count / n_seen!r}"
                                  for value, count in enumerate(counts))
-    lines = render_files(result)["curves.csv"].splitlines()
+    files = render_files(result)
+    lines = files["curves.csv"].splitlines()
     assert lines == expected
     rows = [line.split(",", 1)[1] for line in lines[1:]]
-    assert rows == [",".join(map(repr, row)) for record in result.records
+    records = map(json.loads, files["records.jsonl"].splitlines())
+    assert rows == [",".join(map(repr, row)) for record in records
                     for row in record.get("curves", ())]
 
 
