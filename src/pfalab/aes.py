@@ -84,6 +84,21 @@ def block_to_hex(block: bytes) -> str:
     return block.hex()
 
 
+def _schedule_step(word: bytes, previous: bytes, i: int) -> bytes:
+    """word XOR T(previous), where T is RotWord, SubWord and the XOR of
+    Rcon when schedule word i starts a round key, and the identity
+    otherwise.
+
+    Since w[i] = w[i - 4] ^ T(w[i - 1]), this steps the schedule forwards
+    (word = w[i - 4]) and backwards (word = w[i]).
+    """
+    if i % 4 == 0:
+        sbox = AES_SBOX.entries
+        previous = (sbox[previous[1]] ^ RCON[i // 4 - 1], sbox[previous[2]],
+                    sbox[previous[3]], sbox[previous[0]])
+    return bytes(a ^ b for a, b in zip(word, previous))
+
+
 def key_expand(key: bytes) -> list[bytes]:
     """Expand a 16-byte key into the 11 round keys.
 
@@ -92,18 +107,9 @@ def key_expand(key: bytes) -> list[bytes]:
     """
     if len(key) != KEY_SIZE:
         raise ValueError(f"expected a {KEY_SIZE}-byte key")
-    sbox = AES_SBOX.entries
     words = [key[4 * i:4 * i + 4] for i in range(4)]
     for i in range(4, 44):
-        temp = words[i - 1]
-        if i % 4 == 0:
-            temp = bytes((
-                sbox[temp[1]] ^ RCON[i // 4 - 1],
-                sbox[temp[2]],
-                sbox[temp[3]],
-                sbox[temp[0]],
-            ))
-        words.append(bytes(a ^ b for a, b in zip(words[i - 4], temp)))
+        words.append(_schedule_step(words[i - 4], words[i - 1], i))
     return [b"".join(words[4 * r:4 * r + 4]) for r in range(11)]
 
 
@@ -113,21 +119,10 @@ def inverse_key_expand(last_round_key: bytes) -> bytes:
     full key recovery."""
     if len(last_round_key) != KEY_SIZE:
         raise ValueError(f"expected a {KEY_SIZE}-byte round key")
-    sbox = AES_SBOX.entries
-    words: list[bytes | None] = [None] * 44
-    for i in range(4):
-        words[40 + i] = last_round_key[4 * i:4 * i + 4]
+    words: list[bytes | None] = [None] * 40 + [
+        last_round_key[4 * i:4 * i + 4] for i in range(4)]
     for i in range(43, 3, -1):
-        temp = words[i - 1]
-        assert temp is not None
-        if i % 4 == 0:
-            temp = bytes((
-                sbox[temp[1]] ^ RCON[i // 4 - 1],
-                sbox[temp[2]],
-                sbox[temp[3]],
-                sbox[temp[0]],
-            ))
-        words[i - 4] = bytes(a ^ b for a, b in zip(words[i], temp))
+        words[i - 4] = _schedule_step(words[i], words[i - 1], i)
     return b"".join(words[0:4])
 
 

@@ -144,10 +144,6 @@ def cost_of(implementation: str) -> CostBound:
     raise ValueError(f"unknown implementation: {implementation!r}")
 
 
-def evaluate(bound: CostBound, weights: WeightProfile = DEFAULT_WEIGHTS):
-    return bound.evaluate(weights)
-
-
 def savings_ratio(
     cheap: CostBound,
     baseline: CostBound,

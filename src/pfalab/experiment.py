@@ -75,8 +75,6 @@ BS = "bs"
 DC = "dc"
 DC_PRECORRECT = "dc_precorrect"
 
-IMPLEMENTATIONS = (ORI, DMR, BS, DC, DC_PRECORRECT)
-
 SINGLE_FAULT = "single_fault"
 MULTI_FAULT = "multi_fault"
 
@@ -89,16 +87,14 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a run depends on; the seed pins all randomness.
 
-    scenario and fault_scope may be left None and are then resolved
-    from the fault count and the implementation (multi_fault above one
-    fault; DMR gets per-module tables, byte scrambling a shared one).
-    key_hex fixes the key across trials; by default each trial draws
-    its own.
+    fault_scope may be left None and is then resolved from the
+    implementation (DMR gets per-module tables, byte scrambling a shared
+    one).  key_hex fixes the key across trials; by default each trial
+    draws its own.
     """
 
     implementation: str
     n_faults: int = 1
-    scenario: str | None = None
     placement: str = SCATTERED
     value_policy: str = RANDOM_BYTE
     n_ciphertexts: int = 10_000
@@ -127,13 +123,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an int")
         if not 1 <= self.n_faults <= 255:
             raise ConfigError("n_faults must be in 1..255")
-        derived = MULTI_FAULT if self.n_faults > 1 else SINGLE_FAULT
-        if self.scenario is None:
-            object.__setattr__(self, "scenario", derived)
-        elif self.scenario != derived:
-            raise ConfigError(
-                f"scenario {self.scenario!r} inconsistent with "
-                f"{self.n_faults} fault(s)")
         if self.placement not in (SCATTERED, CLUSTERED):
             raise ConfigError(f"unknown placement {self.placement!r}")
         if self.value_policy not in (RANDOM_BYTE, BIT_FLIP):
@@ -179,8 +168,14 @@ class ExperimentConfig:
         if self.curve_grid < 1:
             raise ConfigError("curve_grid must be positive")
 
+    @property
+    def scenario(self) -> str:
+        """multi_fault above one fault, else single_fault."""
+        return MULTI_FAULT if self.n_faults > 1 else SINGLE_FAULT
+
     def to_json_dict(self) -> dict:
         out = asdict(self)
+        out["scenario"] = self.scenario
         out["curve_positions"] = list(self.curve_positions)
         out["rng_algorithm"] = RNG_ALGORITHM
         return out
@@ -192,66 +187,62 @@ class ExperimentResult:
     records: list = field(default_factory=list)
 
 
-def _encrypt_trial(config, round_keys, faulted, plaintexts, rco_rng):
-    """One trial's emitted stream plus implementation-specific extras.
+# A device takes (config, round_keys, faulted, plaintexts, rco_rng) and
+# returns the blocks it emits plus its own record fields.
+def _ori(config, round_keys, faulted, plaintexts, rco_rng):
+    return encrypt_blocks(plaintexts, round_keys, faulted,
+                          shift_rows=config.shift_rows), {}
 
-    Returns (public, attack_stream, zco_filter, extras): public is every
-    block that leaves the device (curves are drawn over it), the attack
-    stream is what feeds the recovery histogram, zco_filter tells the
-    minimum-ciphertext scan to skip all-zero blocks while still counting
-    them.
-    """
-    impl = config.implementation
-    if impl == ORI:
-        cts = encrypt_blocks(plaintexts, round_keys, faulted,
-                             shift_rows=config.shift_rows)
-        return cts, cts, False, {}
-    if impl == DMR:
-        cfg = DmrConfig(mode=config.dmr_mode, defense=config.dmr_defense,
-                        fault_scope=config.fault_scope)
-        out, mismatch = dmr_encrypt_blocks(
-            plaintexts, round_keys, AES_SBOX, faulted, cfg,
-            rng=rco_rng, shift_rows=config.shift_rows)
-        extras = {"dmr_mismatches": int(mismatch.sum())}
-        if cfg.defense == NCO:
-            public = out[~mismatch]
-            return public, public, False, extras
-        if cfg.defense == ZCO:
-            kept = out.any(axis=1)
-            return out, out[kept], True, extras
-        return out, out, False, extras
-    if impl == BS:
-        if config.fault_scope == SHARED:
-            table_a, table_b = faulted, faulted
-        else:
-            table_a, table_b = faulted, AES_SBOX
-        cts = bs_encrypt_blocks(plaintexts, round_keys, table_a, table_b,
-                                shift_rows=config.shift_rows)
-        return cts, cts, False, {}
-    if impl == DC:
-        guard = GuardConfig(max_correction_rounds=config.dc_max_rounds)
-        pair = _detection_pair()
-        tables = _redundant_tables()
-        detected = detect(faulted, pair, guard.use_second_checkpoint)
-        if detected:
-            working, report = correct(faulted, tables, pair, guard)
-        else:
-            working, report = faulted, CorrectionReport(converged=True,
-                                                        rounds_used=0)
-        cts = encrypt_blocks(plaintexts, round_keys, working,
-                             shift_rows=config.shift_rows)
-        extras = {
-            "detected": detected,
-            "correction": report.to_json_dict(),
-            "table_restored": working == AES_SBOX,
-        }
-        return cts, cts, False, extras
-    if impl == DC_PRECORRECT:
-        effective = precorrect_table(faulted, _redundant_tables())
-        cts = encrypt_blocks(plaintexts, round_keys, effective,
-                             shift_rows=config.shift_rows)
-        return cts, cts, False, {"table_restored": effective == AES_SBOX}
-    raise ConfigError(f"unknown implementation {impl!r}")
+
+def _dmr(config, round_keys, faulted, plaintexts, rco_rng):
+    """Under NCO a mismatched block is never emitted; under ZCO it is
+    emitted as zeros, under RCO as seeded random bytes."""
+    cfg = DmrConfig(mode=config.dmr_mode, defense=config.dmr_defense,
+                    fault_scope=config.fault_scope)
+    out, mismatch = dmr_encrypt_blocks(
+        plaintexts, round_keys, AES_SBOX, faulted, cfg,
+        rng=rco_rng, shift_rows=config.shift_rows)
+    if cfg.defense == NCO:
+        out = out[~mismatch]
+    return out, {"dmr_mismatches": int(mismatch.sum())}
+
+
+def _bs(config, round_keys, faulted, plaintexts, rco_rng):
+    table_b = faulted if config.fault_scope == SHARED else AES_SBOX
+    return bs_encrypt_blocks(plaintexts, round_keys, faulted, table_b,
+                             shift_rows=config.shift_rows), {}
+
+
+def _dc(config, round_keys, faulted, plaintexts, rco_rng):
+    guard = GuardConfig(max_correction_rounds=config.dc_max_rounds)
+    pair = _detection_pair()
+    tables = _redundant_tables()
+    detected = detect(faulted, pair, guard.use_second_checkpoint)
+    if detected:
+        working, report = correct(faulted, tables, pair, guard)
+    else:
+        working, report = faulted, CorrectionReport(converged=True,
+                                                    rounds_used=0)
+    cts = encrypt_blocks(plaintexts, round_keys, working,
+                         shift_rows=config.shift_rows)
+    return cts, {
+        "detected": detected,
+        "correction": report.to_json_dict(),
+        "table_restored": working == AES_SBOX,
+    }
+
+
+def _dc_precorrect(config, round_keys, faulted, plaintexts, rco_rng):
+    effective = precorrect_table(faulted, _redundant_tables())
+    cts = encrypt_blocks(plaintexts, round_keys, effective,
+                         shift_rows=config.shift_rows)
+    return cts, {"table_restored": effective == AES_SBOX}
+
+
+_DEVICES = {ORI: _ori, DMR: _dmr, BS: _bs, DC: _dc,
+            DC_PRECORRECT: _dc_precorrect}
+
+IMPLEMENTATIONS = tuple(_DEVICES)
 
 
 @functools.cache
@@ -332,14 +323,19 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     plaintexts = np.frombuffer(raw, dtype=np.uint8).reshape(
         config.n_ciphertexts, BLOCK_SIZE)
 
-    public, attack_stream, zco_filter, extras = _encrypt_trial(
+    # Curves are drawn over every emitted block.  Under ZCO the attacker
+    # leaves the all-zero blocks out of the histogram, and the
+    # minimum-ciphertext scan skips them while still counting them.
+    public, extras = _DEVICES[config.implementation](
         config, round_keys, faulted, plaintexts, rco_rng)
+    zco_filter = config.implementation == DMR and config.dmr_defense == ZCO
+    attack_stream = public[public.any(axis=1)] if zco_filter else public
 
     x0, e0 = spec.faults[0]
     v = x0
     v_star = AES_INV_SBOX[e0]
 
-    hist = accumulate(np.ascontiguousarray(attack_stream))
+    hist = accumulate(attack_stream)
     recovery = recover_key_maxmin(hist, v, v_star,
                                   gap_threshold=config.gap_threshold)
     min_ct = min_ciphertexts_to_recover(
@@ -431,23 +427,19 @@ _BLOCK_POINTS = 128
 
 
 def _curve_blocks(curves: Curves, trial: int):
-    """Yield a tracked trial's curves.csv lines and record rows as text, a
-    block of grid points at a time.
+    """Yield a tracked trial's curves.csv lines as text, a block of grid
+    points at a time.
 
-    Each (positions[i], points[j], value) gives the row
-    position,value,n,count / n (repr'd) for n = points[j] and
-    count = counts[i, j, value], in counts order.  Its CSV line puts
-    "trial," before the row and a newline after it; its record row is
-    the row in brackets and a comma.  The heads are formatted once per
-    position and the tails once per distinct (n, count) pair of a block.
-    The float64 division is correctly rounded, as Python's int / int is,
-    so the probabilities equal the exact-integer ones.
+    Each (positions[i], points[j], value) gives the line
+    trial,position,value,n,count / n (repr'd) for n = points[j] and
+    count = counts[i, j, value], in counts order.  The heads are
+    formatted once per position and the tails once per distinct
+    (n, count) pair of a block.  The float64 division is correctly
+    rounded, as Python's int / int is, so the probabilities equal the
+    exact-integer ones.
     """
     for position, per_point in zip(curves.positions, curves.counts):
-        cells = [f"{position},{value}" for value in range(256)]
-        csv_heads = np.array([f"{trial},{cell}" for cell in cells],
-                             dtype=object)
-        json_heads = np.array(["[" + cell for cell in cells], dtype=object)
+        heads = [f"{trial},{position},{value}" for value in range(256)]
         for start in range(0, curves.points.size, _BLOCK_POINTS):
             points = curves.points[start:start + _BLOCK_POINTS]
             counts = per_point[start:start + _BLOCK_POINTS]
@@ -455,19 +447,13 @@ def _curve_blocks(curves: Curves, trial: int):
             pairs, inverse = np.unique(keys, return_inverse=True)
             n_seen = points[pairs % points.size]
             probabilities = pairs // points.size / n_seen
-            tails = [f",{n},{probability!r}" for n, probability
-                     in zip(n_seen.tolist(), probabilities.tolist())]
-            at = inverse.reshape(counts.shape)
-            yield (_joined(csv_heads, [tail + "\n" for tail in tails], at),
-                   _joined(json_heads, [tail + "]," for tail in tails], at))
-
-
-def _joined(heads, tails, at) -> str:
-    """heads[value] + tails[at[j, value]] for every cell of at, joined."""
-    pieces = np.empty((*at.shape, 2), dtype=object)
-    pieces[..., 0] = heads
-    pieces[..., 1] = np.array(tails, dtype=object)[at]
-    return "".join(pieces.ravel().tolist())
+            tails = np.array([f",{n},{probability!r}\n" for n, probability
+                              in zip(n_seen.tolist(), probabilities.tolist())],
+                             dtype=object)
+            pieces = np.empty((*counts.shape, 2), dtype=object)
+            pieces[..., 0] = heads
+            pieces[..., 1] = tails[inverse.reshape(counts.shape)]
+            yield "".join(pieces.ravel().tolist())
 
 
 def summarize(records) -> str:
@@ -492,9 +478,10 @@ def render_files(result: ExperimentResult) -> dict:
     """The run directory's contents as filename -> text.
 
     Byte-for-byte reproducible: identical configs yield identical file
-    contents, which `--check` relies on.  A tracked record's curves.csv
-    lines and its record line's "curves" rows are both formatted from its
-    counts.
+    contents, which `--check` relies on.  A tracked record's "curves"
+    rows are cut from its curves.csv lines: each line is "trial," then
+    the row's cells, which hold only digits, commas, ".", "e" and "-",
+    so the row is those cells in brackets.
     """
     records, curves = [], [_CURVES_HEADER]
     for record in result.records:
@@ -502,8 +489,10 @@ def render_files(result: ExperimentResult) -> dict:
             records.append(_canonical_json(record) + "\n")
             continue
         blocks = list(_curve_blocks(record["curves"], record["trial"]))
-        curves += (lines for lines, _ in blocks)
-        rows = [row for _, row in blocks]
+        curves += blocks
+        head = f"{record['trial']},"
+        rows = ["[" + block[len(head):-1].replace("\n" + head, "],[") + "],"
+                for block in blocks]
         if rows:
             rows[-1] = rows[-1][:-1]        # no comma after the last row
         before, _, after = _canonical_json(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfalab import experiment
-from pfalab.classic import MODULE_ONE_ONLY, NCO, RCO, SHARED
+from pfalab.classic import IDDMR, MODULE_ONE_ONLY, NCO, RCO, SHARED, ZCO
 from pfalab.experiment import (
     ConfigError,
     Curves,
@@ -17,6 +17,7 @@ from pfalab.experiment import (
     run_trial,
     write_run,
 )
+from pfalab.faults import BIT_FLIP, CLUSTERED
 
 
 def small(**overrides):
@@ -33,12 +34,9 @@ def test_config_validation():
         ExperimentConfig(implementation="ori", n_faults=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", n_faults=256)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(implementation="ori", n_faults=1,
-                         scenario="multi_fault")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(implementation="ori", n_faults=2,
-                         scenario="single_fault")
+    # scenario is derived from n_faults, not set.
+    with pytest.raises(TypeError):
+        ExperimentConfig(implementation="ori", scenario="multi_fault")
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", key_hex="zz")
     with pytest.raises(ConfigError):
@@ -171,6 +169,69 @@ GOLDEN = {
         dict(curve_trials=0),
         "cdd5828ad3f8b84de549f4689fb3f70c7f2ec852aea74521e1ca5aa18d036942",
         "fd70025648cb285ac3c73a54e1d35140b8d4114627e2c4b05a5a671e30ae784d"),
+    # One per device configuration, as the five-branch trial wrote them
+    # before each --impl became its own device function.
+    "bs_shared": (
+        dict(implementation="bs", fault_scope=SHARED),
+        "85e1e9357e596fdf4902f66d67ddea5d0a0b28609e11779f5d2d36d0fd68e068",
+        "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
+    "bs_module_one": (
+        dict(implementation="bs", fault_scope=MODULE_ONE_ONLY),
+        "41c6ec9688b35460aed94756080cab400fe27d2ae10d22997dd3201fe8311e9f",
+        "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
+    "bs_module_one_no_shiftrows": (
+        dict(implementation="bs", fault_scope=MODULE_ONE_ONLY,
+             shift_rows=False),
+        "711f3489697b7bd47fb24041ac79801f8c91c88d8ab407d35d578abccc6c91b7",
+        "6b270fbd816eb8492ca785c695df0feb22e44afc03218f8e659451a22fd9d018"),
+    "dmr_zco": (
+        dict(implementation="dmr", dmr_defense=ZCO),
+        "3e6e9f9244d251e53c1c7e51848ca4073fe68236c6427dfae4d9670bd5351946",
+        "e993053c83b850be5b1f80ffd14b5610319e3a24c71bf93f918e0080e786a950"),
+    "dmr_rco": (
+        dict(implementation="dmr", dmr_defense=RCO),
+        "ff2bb9a4ad1210e80fa9335c4c706fa60d9be7f55ed172537a5892bb5470891d",
+        "d1de6b9a489e924ca8fc087eeafc6a23005e9bbeaf2e7cdfcf896f7a8fa2f32d"),
+    "dmr_iddmr": (
+        dict(implementation="dmr", dmr_mode=IDDMR),
+        "b6eb4d4675b477f179aa8bb67b5333bc13b21c33a7f89f9acc6073b9448f3fd7",
+        "e993053c83b850be5b1f80ffd14b5610319e3a24c71bf93f918e0080e786a950"),
+    "dmr_shared_scope": (
+        dict(implementation="dmr", fault_scope=SHARED),
+        "18931c9e2d54c72054d8c2de3f9dd2feba3afeb12cee44e70da826dcc6de1682",
+        "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
+    "dmr_iddmr_rco_3_faults": (
+        dict(implementation="dmr", dmr_mode=IDDMR, dmr_defense=RCO,
+             n_faults=3),
+        "cc7e29d3647914f9b540c743c4762f0f7392f79e3d46aca0ad79b2e679ba1bb3",
+        "61f536740b9fb1b33af2da3ee4c30f375e4cb1bc751c171ca426a912831e74ca"),
+    "dc": (
+        dict(implementation="dc"),
+        "2e72dd65957fd819bddc0b0ed53645118b4c3c890d5d9cb074caf40a8a4e985f",
+        "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
+    "dc_9_clustered_2_rounds": (
+        dict(implementation="dc", n_faults=9, placement=CLUSTERED,
+             dc_max_rounds=2),
+        "9bfe3bcac02562ca0e45def51945533e66817ba41832d8bb7fa65fb4ee027424",
+        "9bef2c713618fb1fe004ca2a2859e17e1b2d25082e737b84a0da3ebbc4de87e1"),
+    "dc_9_clustered_16_rounds": (
+        dict(implementation="dc", n_faults=9, placement=CLUSTERED,
+             dc_max_rounds=16),
+        "a6c2f33ccd82d49f0a6e71762379333ba33b388148a2cd9a6df1159b540d7eeb",
+        "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
+    "dc_precorrect": (
+        dict(implementation="dc_precorrect"),
+        "54e711eeb415ee3afee74097ee3f9ac9acbf3c167c55fc45704cec05dc781e2a",
+        "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
+    "dc_precorrect_4_bit_flips": (
+        dict(implementation="dc_precorrect", n_faults=4,
+             value_policy=BIT_FLIP),
+        "cbecccf1ed4e970208a15dca4b40e7be64dba59e0870c7c2848e2de24ac04d5b",
+        "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
+    "ori_no_shiftrows": (
+        dict(shift_rows=False),
+        "a1300e6d89d033233d2061f39adb2a9873d695e068a483701dea993bfd41a85a",
+        "6b270fbd816eb8492ca785c695df0feb22e44afc03218f8e659451a22fd9d018"),
 }
 
 
