@@ -16,7 +16,8 @@ the unique zero has stabilized, while on a healthy (corrected) stream
 the unique-zero gate virtually never fires at all.
 
 Streams are (n, 16) uint8 arrays throughout; the histogram counts one
-byte position of a whole stream per pass.
+byte position of a whole stream per pass.  S is the AES S-box: the
+attacker knows the table the device was built with.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aes import BLOCK_SIZE
-from .sbox import AES_SBOX, SBoxTable
+from .sbox import AES_SBOX
 
 
 class CiphertextHistogram:
@@ -102,7 +103,6 @@ def recover_key_maxmin(
     hist: CiphertextHistogram,
     v: int,
     v_star: int,
-    sbox: SBoxTable = AES_SBOX,
     gap_threshold: int = 5,
 ) -> KeyRecoveryResult:
     """Recover round-10 key bytes from the histogram's extremes.
@@ -127,8 +127,8 @@ def recover_key_maxmin(
         counts = hist.counts[j]
         c_min = int(counts.argmin())
         c_max = int(counts.argmax())
-        k1 = c_min ^ sbox[v]
-        k2 = c_max ^ sbox[v_star]
+        k1 = c_min ^ AES_SBOX[v]
+        k2 = c_max ^ AES_SBOX[v_star]
         zeros = int((counts == 0).sum())
         second_smallest = int(np.partition(counts, 1)[1])
         recovered.append(k1 if zeros == 1 else None)
@@ -149,23 +149,24 @@ def recover_key_maxmin(
 def eliminate_candidates(
     hist: CiphertextHistogram,
     v: int,
-    sbox: SBoxTable = AES_SBOX,
-    threshold: int = 1,
 ) -> list[set[int]]:
     """Shrink each position's key space by crossing off observed values.
 
-    Every value c seen at least threshold times rules out the candidate
-    c XOR S[v], because the true key byte's companion value can never be
-    observed.  With the full distribution in hand exactly the true byte
-    survives.
+    Every value c seen at least once rules out the candidate c XOR S[v],
+    because the true key byte's companion value can never be observed.
+    With the full distribution in hand exactly the true byte survives.
     """
     _check_indices(v=v)
     survivors = []
     for j in range(BLOCK_SIZE):
-        observed = np.flatnonzero(hist.counts[j] >= threshold)
-        ruled_out = {int(c) ^ sbox[v] for c in observed}
+        observed = np.flatnonzero(hist.counts[j])
+        ruled_out = {int(c) ^ AES_SBOX[v] for c in observed}
         survivors.append(set(range(256)) - ruled_out)
     return survivors
+
+
+# A search top score below this, out of 16 positions, is inconclusive.
+INCONCLUSIVE_BELOW = 12
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,7 @@ class FaultSearchResult:
         return list(map(tuple, pairs))
 
 
-def search_fault_values(
-    hist: CiphertextHistogram,
-    sbox: SBoxTable = AES_SBOX,
-    inconclusive_below: int = 12,
-) -> FaultSearchResult:
+def search_fault_values(hist: CiphertextHistogram) -> FaultSearchResult:
     """Score every (v, v*) hypothesis by cross-position consistency.
 
     A hypothesis scores one point per position where c_min XOR S[v]
@@ -202,14 +199,14 @@ def search_fault_values(
     the class S[v] XOR S[v*], so whole classes tie: the planted pair
     sits in the top group rather than strictly first, and a key
     recovered with best is right only up to the byte offset
-    S[best v] XOR S[planted v].  Scores below inconclusive_below (out
+    S[best v] XOR S[planted v].  Scores below INCONCLUSIVE_BELOW (out
     of 16) mean no hypothesis explains the histogram and the stream is
     probably not single-faulted.
     """
     diffs = hist.counts.argmin(axis=1) ^ hist.counts.argmax(axis=1)
     # Scores are at most 16; int8 keeps the (256, 256) matrix in cache.
     score_by_diff = np.bincount(diffs, minlength=256).astype(np.int8)
-    entries = np.frombuffer(sbox.entries, dtype=np.uint8)
+    entries = np.frombuffer(AES_SBOX.entries, dtype=np.uint8)
     scores = score_by_diff.take(entries[:, None] ^ entries[None, :])
     np.fill_diagonal(scores, -1)
     scores.flags.writeable = False
@@ -218,7 +215,7 @@ def search_fault_values(
     return FaultSearchResult(
         best=(v, v_star),
         top_score=top_score,
-        inconclusive=top_score < inconclusive_below,
+        inconclusive=top_score < INCONCLUSIVE_BELOW,
         scores=scores,
     )
 
@@ -228,7 +225,6 @@ def min_ciphertexts_to_recover(
     true_round10_key: bytes,
     v: int,
     v_star: int,
-    sbox: SBoxTable = AES_SBOX,
     zco_filter: bool = False,
 ) -> int | None:
     """Smallest stream prefix that recovers the full round-10 key.
@@ -267,7 +263,7 @@ def min_ciphertexts_to_recover(
     for j in range(BLOCK_SIZE):
         # Assign in reverse so the earliest occurrence lands last.
         first_seen[j, blocks[::-1, j]] = positions[::-1]
-    targets = np.array([sbox[v] ^ k for k in true_round10_key])
+    targets = np.array([AES_SBOX[v] ^ k for k in true_round10_key])
     target_first = first_seen[np.arange(BLOCK_SIZE), targets]
     # Latest first-occurrence among the other 255 values, per position.
     masked = first_seen.copy()

@@ -21,10 +21,9 @@ from .attack import (
     recover_key_maxmin,
     search_fault_values,
 )
-from .classic import IDDMR, MODULE_ONE_ONLY, NCO, RCO, REDMR, SHARED, ZCO
 from .costs import to_csv as cost_table_csv
 from .experiment import (
-    IMPLEMENTATIONS,
+    CHOICES,
     ExperimentConfig,
     emit_table3,
     render_files,
@@ -32,17 +31,16 @@ from .experiment import (
     summarize,
     write_run,
 )
-from .faults import BIT_FLIP, CLUSTERED, RANDOM_BYTE, SCATTERED
 from .sbox import AES_SBOX
 from .sbox_analysis import analyze_table
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems with exit code 1, not 2."""
+    """argparse reports usage problems as main reports the others: one
+    line on stderr and exit code 1, not a usage block and exit code 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {message}\n")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -59,24 +57,14 @@ def _cmd_analyze_sbox(args) -> int:
     return 0
 
 
+# Namespace entries of `pfalab run` that are not ExperimentConfig fields.
+_RUN_ONLY = ("command", "func", "out", "check")
+
+
 def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        implementation=args.impl,
-        n_faults=args.faults,
-        placement=args.placement,
-        value_policy=args.value_policy,
-        n_ciphertexts=args.n,
-        n_trials=args.trials,
-        seed=args.seed,
-        key_hex=args.key,
-        shift_rows=not args.no_shiftrows,
-        dmr_mode=args.dmr_mode,
-        dmr_defense=args.dmr_defense,
-        fault_scope=args.fault_scope,
-        dc_max_rounds=args.dc_rounds,
-        gap_threshold=args.gap_threshold,
-        curve_trials=args.curve_trials,
-    )
+    fields = {name: value for name, value in vars(args).items()
+              if name not in _RUN_ONLY}
+    config = ExperimentConfig(**fields)
     result = run_experiment(config)
     out_dir = write_run(result, args.out)
     sys.stdout.write(emit_table3(result.records))
@@ -124,10 +112,6 @@ def _cmd_attack(args) -> int:
             raise ValueError("--search excludes --v/--v-star")
     elif args.v is None or args.v_star is None:
         raise ValueError("give either --search or both --v and --v-star")
-    for flag, value in (("--v", args.v), ("--v-star", args.v_star)):
-        if value is not None and not 0 <= value <= 0xFF:
-            raise ValueError(f"{flag} must be a table index in 0..255, "
-                             f"got {value}")
     if args.gap_threshold < 1:
         raise ValueError("--gap-threshold must be at least 1, "
                          f"got {args.gap_threshold}")
@@ -182,29 +166,33 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", help="write JSON here instead of stdout")
     analyze.set_defaults(func=_cmd_analyze_sbox)
 
-    run = sub.add_parser("run", help="seeded fault/attack experiment")
-    run.add_argument("--impl", required=True, choices=IMPLEMENTATIONS)
-    run.add_argument("--faults", type=int, default=1)
-    run.add_argument("--placement", choices=(SCATTERED, CLUSTERED),
-                     default=SCATTERED)
-    run.add_argument("--value-policy", choices=(RANDOM_BYTE, BIT_FLIP),
-                     default=RANDOM_BYTE)
-    run.add_argument("--n", type=int, default=10_000,
+    # Each flag's dest is an ExperimentConfig field; a flag left out is
+    # left out of the namespace, so the field keeps its default.
+    run = sub.add_parser("run", help="seeded fault/attack experiment",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--impl", dest="implementation", required=True,
+                     choices=CHOICES["implementation"])
+    run.add_argument("--faults", dest="n_faults", type=int)
+    run.add_argument("--placement", choices=CHOICES["placement"])
+    run.add_argument("--value-policy", choices=CHOICES["value_policy"])
+    run.add_argument("--n", dest="n_ciphertexts", type=int,
                      help="ciphertexts per trial")
-    run.add_argument("--trials", type=int, default=100)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--key", help="fixed key as 32 hex digits")
+    run.add_argument("--trials", dest="n_trials", type=int)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--key", dest="key_hex",
+                     help="fixed key as 32 hex digits")
     run.add_argument("--out", required=True, help="run directory")
-    run.add_argument("--no-shiftrows", action="store_true")
-    run.add_argument("--dmr-mode", choices=(REDMR, IDDMR), default=REDMR)
-    run.add_argument("--dmr-defense", choices=(NCO, ZCO, RCO), default=ZCO)
-    run.add_argument("--fault-scope", choices=(MODULE_ONE_ONLY, SHARED),
-                     default=None)
-    run.add_argument("--dc-rounds", type=int, default=2,
+    run.add_argument("--no-shiftrows", dest="shift_rows",
+                     action="store_false")
+    run.add_argument("--dmr-mode", choices=CHOICES["dmr_mode"])
+    run.add_argument("--dmr-defense", choices=CHOICES["dmr_defense"])
+    run.add_argument("--fault-scope", choices=CHOICES["fault_scope"])
+    run.add_argument("--dc-rounds", dest="dc_max_rounds", type=int,
                      help="correction round budget per detection")
-    run.add_argument("--gap-threshold", type=int, default=5)
-    run.add_argument("--curve-trials", type=int, default=1)
-    run.add_argument("--check", action="store_true",
+    run.add_argument("--gap-threshold", type=int)
+    run.add_argument("--curve-trials", type=int)
+    # SUPPRESS would also drop store_true's False.
+    run.add_argument("--check", action="store_true", default=False,
                      help="rerun and verify byte-identical artifacts")
     run.set_defaults(func=_cmd_run)
 

@@ -112,8 +112,13 @@ class ExperimentConfig:
     curve_grid: int = 100
 
     def __post_init__(self):
-        if self.implementation not in IMPLEMENTATIONS:
-            raise ConfigError(f"unknown implementation {self.implementation!r}")
+        if self.fault_scope is None:
+            scope = SHARED if self.implementation == BS else MODULE_ONE_ONLY
+            object.__setattr__(self, "fault_scope", scope)
+        for name, accepted in CHOICES.items():
+            value = getattr(self, name)
+            if value not in accepted:
+                raise ConfigError(f"unknown {name} {value!r}")
         # A bool or a float compares like an int but would be written to
         # config.json as such, or fail later inside a trial.
         for name in ("n_faults", "n_ciphertexts", "n_trials", "seed",
@@ -123,10 +128,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an int")
         if not 1 <= self.n_faults <= 255:
             raise ConfigError("n_faults must be in 1..255")
-        if self.placement not in (SCATTERED, CLUSTERED):
-            raise ConfigError(f"unknown placement {self.placement!r}")
-        if self.value_policy not in (RANDOM_BYTE, BIT_FLIP):
-            raise ConfigError(f"unknown value policy {self.value_policy!r}")
         if self.n_ciphertexts < 1:
             raise ConfigError("n_ciphertexts must be positive")
         if self.n_trials < 1:
@@ -140,15 +141,6 @@ class ExperimentConfig:
                 block_from_hex(self.key_hex)
             except ValueError as exc:
                 raise ConfigError(f"bad key_hex: {exc}") from exc
-        if self.dmr_mode not in (REDMR, IDDMR):
-            raise ConfigError(f"unknown dmr_mode {self.dmr_mode!r}")
-        if self.dmr_defense not in (NCO, ZCO, RCO):
-            raise ConfigError(f"unknown dmr_defense {self.dmr_defense!r}")
-        if self.fault_scope is None:
-            scope = SHARED if self.implementation == BS else MODULE_ONE_ONLY
-            object.__setattr__(self, "fault_scope", scope)
-        elif self.fault_scope not in (MODULE_ONE_ONLY, SHARED):
-            raise ConfigError(f"unknown fault_scope {self.fault_scope!r}")
         if self.dc_max_rounds < 1:
             raise ConfigError("dc_max_rounds must be at least 1")
         if self.gap_threshold < 1:
@@ -217,7 +209,7 @@ def _dc(config, round_keys, faulted, plaintexts, rco_rng):
     guard = GuardConfig(max_correction_rounds=config.dc_max_rounds)
     pair = _detection_pair()
     tables = _redundant_tables()
-    detected = detect(faulted, pair, guard.use_second_checkpoint)
+    detected = detect(faulted, pair)
     if detected:
         working, report = correct(faulted, tables, pair, guard)
     else:
@@ -243,6 +235,17 @@ _DEVICES = {ORI: _ori, DMR: _dmr, BS: _bs, DC: _dc,
             DC_PRECORRECT: _dc_precorrect}
 
 IMPLEMENTATIONS = tuple(_DEVICES)
+
+# The accepted values of each str field of ExperimentConfig, in the order
+# `pfalab run --help` lists them.
+CHOICES = {
+    "implementation": IMPLEMENTATIONS,
+    "placement": (SCATTERED, CLUSTERED),
+    "value_policy": (RANDOM_BYTE, BIT_FLIP),
+    "dmr_mode": (REDMR, IDDMR),
+    "dmr_defense": (NCO, ZCO, RCO),
+    "fault_scope": (MODULE_ONE_ONLY, SHARED),
+}
 
 
 @functools.cache

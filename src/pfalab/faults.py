@@ -141,10 +141,10 @@ def random_faults(
     n_faults: int,
     placement: str = SCATTERED,
     value_policy: str = RANDOM_BYTE,
-    table: SBoxTable = AES_SBOX,
     max_tries: int = 10_000,
 ) -> FaultSpec:
-    """Draw a random fault pattern of the requested shape.
+    """Draw a random fault pattern of the requested shape for the AES
+    S-box: every value differs from the entry it overwrites.
 
     Scattered placement rejection-samples until the pattern classifies
     as the best case, so repeated draws model independent stray upsets
@@ -158,14 +158,14 @@ def random_faults(
     if placement == SCATTERED:
         for _ in range(max_tries):
             cells = rng.sample_distinct(256, n_faults)
-            spec = _with_values(rng, cells, value_policy, table, placement)
+            spec = _with_values(rng, cells, value_policy, placement)
             if classify_case(spec) == BEST:
                 return spec
         raise PlacementInfeasible(
             f"no best-case scatter of {n_faults} faults in {max_tries} tries")
     if placement == CLUSTERED:
         cells = _clustered_indices(rng, n_faults)
-        return _with_values(rng, cells, value_policy, table, placement)
+        return _with_values(rng, cells, value_policy, placement)
     raise ValueError(f"unknown placement {placement!r}")
 
 
@@ -173,17 +173,16 @@ def _with_values(
     rng: Rng,
     cells: list[int],
     value_policy: str,
-    table: SBoxTable,
     placement: str,
 ) -> FaultSpec:
     faults = []
     for x in cells:
         if value_policy == RANDOM_BYTE:
             value = rng.byte()
-            while value == table[x]:
+            while value == AES_SBOX[x]:
                 value = rng.byte()
         elif value_policy == BIT_FLIP:
-            value = table[x] ^ (1 << rng.randrange(8))
+            value = AES_SBOX[x] ^ (1 << rng.randrange(8))
         else:
             raise ValueError(f"unknown value policy {value_policy!r}")
         faults.append((x, value))

@@ -3,8 +3,8 @@
 The guard runs before each encryption:
 
 1. detect: walk the stored seed block P through t table applications
-   and compare against the precomputed checkpoint C (and one further
-   step against C_hat).  Any single corrupted entry flips the
+   and compare against the precomputed checkpoint C, then one further
+   step against C_hat.  Any single corrupted entry flips the
    comparison, at the cost of 16*t extra lookups and no storage beyond
    three blocks.
 
@@ -43,17 +43,15 @@ from .sbox_analysis import DetectionPair, RedundantTables
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Knobs for the check-and-repair loop.
+    """The check-and-repair loop's round budget.
 
     max_correction_rounds bounds the vote sweeps per invocation.  The
     default is generous; deployments trade it down (two sweeps already
     repair anything but a dense cluster's core) and accept that a
-    too-dense cluster stays flagged.  use_second_checkpoint adds the
-    C_hat comparison to every detect walk.
+    too-dense cluster stays flagged.
     """
 
     max_correction_rounds: int = 16
-    use_second_checkpoint: bool = True
 
     def __post_init__(self):
         # correct() stops when the sweep count equals the budget, which
@@ -67,20 +65,14 @@ class GuardConfig:
 DEFAULT_GUARD = GuardConfig()
 
 
-def detect(
-    table: SBoxTable,
-    pair: DetectionPair,
-    use_second_checkpoint: bool = True,
-) -> bool:
-    """True when the table fails the checkpoint walk (fault present)."""
+def detect(table: SBoxTable, pair: DetectionPair) -> bool:
+    """True when the table fails the checkpoint walk (fault present):
+    the block after t steps differs from C, or the one after t + 1 steps
+    from C_hat."""
     block = pair.p
     for _ in range(pair.t):
         block = block.translate(table.entries)
-    if block != pair.c:
-        return True
-    if use_second_checkpoint:
-        return block.translate(table.entries) != pair.c_hat
-    return False
+    return block != pair.c or block.translate(table.entries) != pair.c_hat
 
 
 # Byte-lane constants: bit 7, and bits 0-6, of every lane.
@@ -190,7 +182,7 @@ def correct(
     changed_entries: list[tuple[int, int, int]] = []
     rounds_used = 0
     while True:
-        converged = not detect(working, pair, cfg.use_second_checkpoint)
+        converged = not detect(working, pair)
         if converged or rounds_used == cfg.max_correction_rounds:
             # Unresolved is assessed on the final state so that converged
             # (clean detect) always implies an empty list.

@@ -24,6 +24,7 @@ from math import ceil
 
 import numpy as np
 
+from .aes import BLOCK_SIZE
 from .sbox import (
     NotAPermutation,
     SBoxTable,
@@ -36,10 +37,6 @@ from .sbox import (
 
 class InfeasibleAllocation(ValueError):
     """More cycles than seeds: one walk per cycle is impossible."""
-
-
-class AllocationMismatch(ValueError):
-    """Allocation shape does not match the table's cycle structure."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def cycle_decompose(table: SBoxTable) -> CycleDecomposition:
 
 @dataclass(frozen=True)
 class SeedAllocation:
-    """How many of the m walk seeds go to each cycle.
+    """How many of the 16 walk seeds go to each cycle.
 
     d[i] seeds walk cycle i; each then has to cover a stretch of
     r[i] = ceil(length[i] / d[i]) elements, and the number of table
@@ -90,28 +87,29 @@ class SeedAllocation:
     d: tuple[int, ...]
     r: tuple[int, ...]
     t: int
-    m: int
 
 
-def allocate_seeds(lengths, m: int = 16) -> SeedAllocation:
-    """Distribute m seeds over cycles to minimise the walk length t.
+def allocate_seeds(lengths) -> SeedAllocation:
+    """Distribute a block's 16 seeds over cycles to minimise the walk
+    length t.
 
-    Exhaustive over all compositions of m into len(lengths) positive
-    parts; m is a block's 16 bytes and tables rarely decompose into more
-    than a handful of cycles, so the search space stays tiny.  Ties on t
-    are broken by the total covered stretch sum(r), then by the
-    lexicographically smallest d, making the result deterministic.
+    Exhaustive over all compositions of 16 into len(lengths) positive
+    parts; tables rarely decompose into more than a handful of cycles,
+    so the search space stays tiny.  Ties on t are broken by the total
+    covered stretch sum(r), then by the lexicographically smallest d,
+    making the result deterministic.
     """
     lengths = tuple(lengths)
     k = len(lengths)
     if k == 0:
         raise ValueError("no cycles to allocate seeds to")
-    if k > m:
+    if k > BLOCK_SIZE:
         raise InfeasibleAllocation(
-            f"{k} cycles need at least {k} seeds, only {m} available")
+            f"{k} cycles need at least {k} seeds, only {BLOCK_SIZE} "
+            "available")
     best: tuple[int, int, tuple[int, ...]] | None = None
-    for cuts in combinations(range(1, m), k - 1):
-        bounds = (0,) + cuts + (m,)
+    for cuts in combinations(range(1, BLOCK_SIZE), k - 1):
+        bounds = (0,) + cuts + (BLOCK_SIZE,)
         d = tuple(bounds[i + 1] - bounds[i] for i in range(k))
         r = tuple(ceil(length / di) for length, di in zip(lengths, d))
         cand = (max(r), sum(r), d)
@@ -120,7 +118,7 @@ def allocate_seeds(lengths, m: int = 16) -> SeedAllocation:
     assert best is not None
     t, _, d = best
     r = tuple(ceil(length / di) for length, di in zip(lengths, d))
-    return SeedAllocation(d=d, r=r, t=t, m=m)
+    return SeedAllocation(d=d, r=r, t=t)
 
 
 @dataclass(frozen=True)
@@ -133,23 +131,14 @@ class DetectionPair:
     t: int
 
 
-def build_detection_pair(
-    table: SBoxTable,
-    allocation: SeedAllocation | None = None,
-) -> DetectionPair:
+def build_detection_pair(table: SBoxTable) -> DetectionPair:
     """Place seeds along the cycles and precompute the checkpoints.
 
     Within cycle i the d[i] seeds sit r[i] positions apart, so the t-step
     walks tile the cycle with overlap only at the stretch ends.
     """
     decomp = cycle_decompose(table)
-    if allocation is None:
-        allocation = allocate_seeds(decomp.lengths)
-    if len(allocation.d) != len(decomp):
-        raise AllocationMismatch(
-            f"allocation has {len(allocation.d)} cycles, table has {len(decomp)}")
-    if sum(allocation.d) != allocation.m:
-        raise AllocationMismatch("seed counts do not sum to m")
+    allocation = allocate_seeds(decomp.lengths)
     seeds = []
     for cycle, di, ri in zip(decomp.cycles, allocation.d, allocation.r):
         for j in range(di):
@@ -234,15 +223,15 @@ def build_redundant_tables(table: SBoxTable) -> RedundantTables:
                            v=from_lanes(lanes ^ lanes_down(lanes)))
 
 
-def analyze_table(table: SBoxTable, m: int = 16) -> dict:
+def analyze_table(table: SBoxTable) -> dict:
     """One-stop structural report, JSON-compatible.
 
     Cycles are lists of table indices, blocks are 32-char lowercase hex,
     and the two parity tables are arrays of 256 two-char hex entries.
     """
     decomp = cycle_decompose(table)
-    allocation = allocate_seeds(decomp.lengths, m)
-    pair = build_detection_pair(table, allocation)
+    allocation = allocate_seeds(decomp.lengths)
+    pair = build_detection_pair(table)
     redundant = build_redundant_tables(table)
     return {
         "cycles": [list(c) for c in decomp.cycles],

@@ -140,14 +140,14 @@ def test_search_is_inconclusive_on_uniform_stream():
     assert found.top_score < 12
 
 
-def _ranked_by_tuple_sort(hist, sbox):
+def _ranked_by_tuple_sort(hist):
     """The reference ranker: every (v, v*, score) sorted by (-score, v, v*)."""
     diffs = np.zeros(BLOCK_SIZE, dtype=np.int64)
     for j in range(BLOCK_SIZE):
         counts = hist.counts[j]
         diffs[j] = int(counts.argmin()) ^ int(counts.argmax())
     score_by_diff = np.bincount(diffs, minlength=256)
-    entries = np.frombuffer(sbox.entries, dtype=np.uint8)
+    entries = np.frombuffer(AES_SBOX.entries, dtype=np.uint8)
     ranked = []
     for v in range(256):
         for v_star in range(256):
@@ -186,19 +186,10 @@ def _search_oracle_histograms():
         yield _histogram(counts)
 
 
-SEARCH_TABLES = (
-    AES_SBOX,
-    inject(AES_SBOX, FaultSpec(((0x42, 0x07),))),
-    inject(AES_SBOX, FaultSpec(((0x00, 0x7C), (0x10, 0x01)))),
-)
-
-
-@pytest.mark.parametrize("table", SEARCH_TABLES,
-                         ids=["bijective", "one-fault", "two-fault"])
-def test_search_matches_tuple_sort_reference(table):
+def test_search_matches_tuple_sort_reference():
     for hist in _search_oracle_histograms():
-        ranked = _ranked_by_tuple_sort(hist, table)
-        found = search_fault_values(hist, table)
+        ranked = _ranked_by_tuple_sort(hist)
+        found = search_fault_values(hist)
         v, v_star, top = ranked[0]
         assert found.best == (v, v_star)
         assert found.top_score == top

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from pfalab import cli, experiment
 from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
-from pfalab.cli import main
+from pfalab.cli import build_parser, main
+from pfalab.experiment import IMPLEMENTATIONS, ExperimentConfig
 from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
@@ -103,6 +105,61 @@ def test_run_check_renders_each_result_once(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "check passed" not in captured.out
     assert captured.err == "check failed: rerun produced different files\n"
+
+
+def _run_dests():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices["run"]._actions}
+
+
+def test_run_flags_are_config_fields():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert _run_dests() - fields == {"out", "check", "help"}
+
+
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+def test_run_takes_the_config_defaults(impl, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--impl", impl, "--trials", "1", "--n", "100",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = ExperimentConfig(implementation=impl, n_trials=1,
+                            n_ciphertexts=100)
+    assert json.loads((out / "config.json").read_text()) == \
+        want.to_json_dict()
+
+
+def test_run_passes_every_flag(tmp_path, capsys):
+    flags = {
+        "--impl": ("implementation", "dmr"),
+        "--faults": ("n_faults", 3),
+        "--placement": ("placement", "clustered"),
+        "--value-policy": ("value_policy", "bit_flip"),
+        "--n": ("n_ciphertexts", 150),
+        "--trials": ("n_trials", 2),
+        "--seed": ("seed", 7),
+        "--key": ("key_hex", "000102030405060708090a0b0c0d0e0f"),
+        "--dmr-mode": ("dmr_mode", "iddmr"),
+        "--dmr-defense": ("dmr_defense", "rco"),
+        "--fault-scope": ("fault_scope", "shared"),
+        "--dc-rounds": ("dc_max_rounds", 3),
+        "--gap-threshold": ("gap_threshold", 4),
+        "--curve-trials": ("curve_trials", 2),
+    }
+    want = dict(flags.values(), shift_rows=False)
+    assert set(want) == _run_dests() - {"out", "check", "help"}
+    default = ExperimentConfig(implementation="ori")
+    assert all(getattr(default, name) != value
+               for name, value in want.items())
+    out = tmp_path / "run"
+    argv = ["run", "--no-shiftrows", "--out", str(out)]
+    for flag, (_, value) in flags.items():
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads((out / "config.json").read_text()) == \
+        ExperimentConfig(**want).to_json_dict()
 
 
 def test_run_rejects_bad_flags(tmp_path, capsys):
@@ -291,6 +348,20 @@ def _in_process(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--impl", "tmr", "--out", "unused"],
+    ["run", "--impl", "ori", "--n", "abc", "--out", "unused"],
+    ["run", "--impl", "ori"],
+    ["attack", "unused.txt", "--v", "zz", "--v-star", "1"],
+], ids=["bad-choice", "non-int", "missing-required", "bad-v-literal"])
+def test_usage_error_is_one_line(argv, capsys):
+    code, out, err = _in_process(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 def test_reused_parser_matches_fresh_processes(stream_file, capsys,

@@ -8,6 +8,7 @@ import pytest
 from pfalab import experiment
 from pfalab.classic import IDDMR, MODULE_ONE_ONLY, NCO, RCO, SHARED, ZCO
 from pfalab.experiment import (
+    CHOICES,
     ConfigError,
     Curves,
     ExperimentConfig,
@@ -59,6 +60,9 @@ def test_config_validation():
         ExperimentConfig(implementation="dmr", dmr_defense="mirror")
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", placement="striped")
+    for name in CHOICES:
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{"implementation": "ori", name: "striped"})
     # Wrong types end in ConfigError, never in a bare TypeError or in a
     # config.json that disagrees with the run.
     for value in ("no", 0, 1, None):

@@ -36,7 +36,6 @@ from pfalab.sbox_analysis import build_redundant_tables
 
 def test_detect_pristine_table_is_quiet(pair):
     assert detect(AES_SBOX, pair) is False
-    assert detect(AES_SBOX, pair, use_second_checkpoint=False) is False
 
 
 def test_detect_sampled_single_faults(pair):
@@ -47,9 +46,14 @@ def test_detect_sampled_single_faults(pair):
 
 
 def test_second_checkpoint_catches_the_swap(pair):
+    # The swap leaves the block after t steps at C; only the step to
+    # C_hat shows it.
     swapped = inject(AES_SBOX, FaultSpec(((0x73, 0x73),)))
-    assert detect(swapped, pair, use_second_checkpoint=False) is False
-    assert detect(swapped, pair, use_second_checkpoint=True) is True
+    block = pair.p
+    for _ in range(pair.t):
+        block = block.translate(swapped.entries)
+    assert block == pair.c
+    assert detect(swapped, pair) is True
 
 
 def _plant_candidates(tables, x, candidates, current):
@@ -151,7 +155,6 @@ def test_guard_config_validation():
         with pytest.raises(ValueError):
             GuardConfig(max_correction_rounds=budget)
     assert GuardConfig().max_correction_rounds == 16
-    assert GuardConfig().use_second_checkpoint is True
 
 
 def test_correction_report_json_shape():
@@ -227,7 +230,7 @@ def _oracle_correct(table, tables, pair, cfg):
     rounds_used = 0
     for _ in range(cfg.max_correction_rounds):
         working = SBoxTable(entries.tobytes())
-        if not detect(working, pair, cfg.use_second_checkpoint):
+        if not detect(working, pair):
             break
         new, changed, _ = _dense_sweep(entries, h, v)
         rounds_used += 1
@@ -240,7 +243,7 @@ def _oracle_correct(table, tables, pair, cfg):
     final = SBoxTable(entries.tobytes())
     _, _, unresolved_mask = _dense_sweep(entries, h, v)
     report = CorrectionReport(
-        converged=not detect(final, pair, cfg.use_second_checkpoint),
+        converged=not detect(final, pair),
         rounds_used=rounds_used,
         changed_entries=tuple(changed_entries),
         unresolved=tuple(int(i) for i in np.flatnonzero(unresolved_mask)),
@@ -280,7 +283,7 @@ def test_syndrome_sweep_matches_dense_oracle(pair, tables):
         dense, _, _ = _dense_sweep(
             np.frombuffer(faulted.entries, dtype=np.uint8), h, v)
         assert precorrect_table(faulted, tables).entries == dense.tobytes()
-        cfg = GuardConfig((1, 2, 16)[i % 3], i % 4 < 2)
+        cfg = GuardConfig((1, 2, 16)[i % 3])
         fixed, report = correct(faulted, tables, pair, cfg)
         want_fixed, want, snapshots = _oracle_correct(
             faulted, tables, pair, cfg)
@@ -298,7 +301,7 @@ def _torus(r, c):
 def _golden_cases():
     """All 65,280 single faults at the default config, then the 1,024
     two-fault placements that share two grid neighbours, with seeded
-    values, budgets 1, 2 and 16 and the second checkpoint on and off."""
+    values and budgets 1, 2 and 16."""
     default = GuardConfig()
     for x in range(256):
         for e in range(256):
@@ -312,7 +315,7 @@ def _golden_cases():
               _torus(r, c + 2), _torus(r + 2, c))[i % 4]
         spec = FaultSpec(((x1, AES_SBOX[x1] ^ (1 + rng.randrange(255))),
                           (x2, AES_SBOX[x2] ^ (1 + rng.randrange(255)))))
-        yield inject(AES_SBOX, spec), GuardConfig((1, 2, 16)[i % 3], i % 4 < 2)
+        yield inject(AES_SBOX, spec), GuardConfig((1, 2, 16)[i % 3])
 
 
 def test_correct_and_precorrect_match_golden_digest(pair, tables):

@@ -5,7 +5,6 @@ import pytest
 from pfalab.rng import Rng
 from pfalab.sbox import AES_SBOX, SBoxTable, down, right
 from pfalab.sbox_analysis import (
-    AllocationMismatch,
     DetectionPair,
     InfeasibleAllocation,
     allocate_seeds,
@@ -49,11 +48,11 @@ def test_cycles_partition_domain():
                 assert table[x] == cycle[(i + 1) % len(cycle)]
 
 
-def _brute_force_min_iterations(lengths, m):
+def _brute_force_min_iterations(lengths):
     best = None
     k = len(lengths)
-    for cut in itertools.combinations(range(1, m), k - 1):
-        parts = [b - a for a, b in zip((0,) + cut, cut + (m,))]
+    for cut in itertools.combinations(range(1, 16), k - 1):
+        parts = [b - a for a, b in zip((0,) + cut, cut + (16,))]
         t = max(-(-length // d) for length, d in zip(lengths, parts))
         if best is None or t < best:
             best = t
@@ -70,16 +69,16 @@ def test_allocation_for_standard_table():
 
 def test_allocation_matches_brute_force():
     cases = [
-        ((59, 81, 87, 27, 2), 16),
-        ((5, 3, 2), 6),
-        ((100, 100), 4),
-        ((17,), 3),
-        ((9, 9, 9, 9), 8),
+        (59, 81, 87, 27, 2),
+        (5, 3, 2),
+        (100, 100),
+        (17,),
+        (9, 9, 9, 9),
     ]
-    for lengths, m in cases:
-        alloc = allocate_seeds(lengths, m)
-        assert alloc.t == _brute_force_min_iterations(lengths, m)
-        assert sum(alloc.d) == m
+    for lengths in cases:
+        alloc = allocate_seeds(lengths)
+        assert alloc.t == _brute_force_min_iterations(lengths)
+        assert sum(alloc.d) == 16
         assert all(d >= 1 for d in alloc.d)
         assert alloc.t == max(alloc.r)
         for length, d, r in zip(lengths, alloc.d, alloc.r):
@@ -88,7 +87,7 @@ def test_allocation_matches_brute_force():
 
 def test_allocation_needs_one_seed_per_cycle():
     with pytest.raises(InfeasibleAllocation):
-        allocate_seeds((3, 3, 3), m=2)
+        allocate_seeds((3,) * 17)
 
 
 def test_detection_pair_known_values():
@@ -105,12 +104,6 @@ def test_detection_pair_is_consistent(pair):
         block = block.translate(AES_SBOX.entries)
     assert block == pair.c
     assert block.translate(AES_SBOX.entries) == pair.c_hat
-
-
-def test_detection_pair_rejects_foreign_allocation():
-    alloc = allocate_seeds((10, 10), m=16)
-    with pytest.raises(AllocationMismatch):
-        build_detection_pair(AES_SBOX, allocation=alloc)
 
 
 def test_verify_detection_flags_never_read_entries(pair):
