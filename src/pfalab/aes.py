@@ -54,6 +54,12 @@ _INV_SR_IDX = np.array(INV_SHIFT_ROWS_PERM, dtype=np.intp)
 # Row 4*c + r of s[_ROT] is row 4*c + (r + 1) % 4 of s: one step up its column.
 _ROT = np.array([4 * (i // 4) + (i + 1) % 4 for i in range(16)], dtype=np.intp)
 _ROT2 = _ROT[_ROT]
+# Index arrays are shared by every call: one stray write would change
+# every later encryption in the process.
+_SR_IDX.flags.writeable = False
+_INV_SR_IDX.flags.writeable = False
+_ROT.flags.writeable = False
+_ROT2.flags.writeable = False
 
 
 def _pairs(lut: np.ndarray) -> np.ndarray:
@@ -74,7 +80,10 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 def block_from_hex(text: str) -> bytes:
     """Parse one block from exactly 32 lowercase hex characters."""
     if not _HEX_BLOCK.fullmatch(text):
-        raise ValueError(f"expected 32 lowercase hex chars, got {text!r}")
+        # A whole stream on one line would otherwise be echoed whole.
+        shown = (repr(text) if len(text) <= 64
+                 else f"{text[:16]!r}... ({len(text)} chars)")
+        raise ValueError(f"expected 32 lowercase hex chars, got {shown}")
     return bytes.fromhex(text)
 
 
@@ -200,6 +209,7 @@ def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
 
 
 _IDENTITY = np.arange(BLOCK_SIZE, dtype=np.intp)
+_IDENTITY.flags.writeable = False
 
 
 def _lut(table: SBoxTable) -> np.ndarray:

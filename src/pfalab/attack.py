@@ -119,6 +119,10 @@ def recover_key_maxmin(
     _check_indices(v=v, v_star=v_star)
     if v == v_star:
         raise ValueError("v and v_star must differ")
+    # A bool or a fraction compares like a count but is not one.
+    if type(gap_threshold) is not int or gap_threshold < 1:
+        raise ValueError("gap_threshold must be an int of at least 1, "
+                         f"got {gap_threshold!r}")
     recovered = []
     candidate_sets = []
     confidence = []

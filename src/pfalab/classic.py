@@ -123,6 +123,7 @@ def dmr_encrypt_blocks(
 # its byte from the other path when (r + c) is even.
 BS_CROSS = tuple((p % 4 + p // 4) % 2 == 0 for p in range(16))
 _BS_CROSS_COLUMNS = np.flatnonzero(BS_CROSS)
+_BS_CROSS_COLUMNS.flags.writeable = False
 
 
 def _bs_paths(plaintexts, round_keys, table_a, table_b, shift_rows=True,

@@ -107,17 +107,16 @@ def allocate_seeds(lengths) -> SeedAllocation:
         raise InfeasibleAllocation(
             f"{k} cycles need at least {k} seeds, only {BLOCK_SIZE} "
             "available")
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    best: tuple[int, int, tuple[int, ...], tuple[int, ...]] | None = None
     for cuts in combinations(range(1, BLOCK_SIZE), k - 1):
         bounds = (0,) + cuts + (BLOCK_SIZE,)
         d = tuple(bounds[i + 1] - bounds[i] for i in range(k))
         r = tuple(ceil(length / di) for length, di in zip(lengths, d))
-        cand = (max(r), sum(r), d)
+        cand = (max(r), sum(r), d, r)
         if best is None or cand < best:
             best = cand
     assert best is not None
-    t, _, d = best
-    r = tuple(ceil(length / di) for length, di in zip(lengths, d))
+    t, _, d, r = best
     return SeedAllocation(d=d, r=r, t=t)
 
 
@@ -158,47 +157,28 @@ def verify_detection(
 ) -> list[tuple[int, int]]:
     """Exhaustively try every single-entry fault against the pair.
 
-    Returns the (index, wrong value) pairs that would go undetected; an
-    empty list certifies completeness against single faults.  A fault
-    only matters to the walks that actually read its index, so each of
-    the 65280 cases reduces to re-walking a couple of lanes, vectorised
-    over all 255 wrong values at once.
+    Returns the undetected (index, wrong value) pairs, row-major; an
+    empty list certifies completeness.  One walk per lane covers every
+    (index, value) pair it reads; unread entries escape by construction.
     """
     lut = np.frombuffer(table.entries, dtype=np.uint8)
-    # Which lanes read index x, considering the t reads for C plus the
-    # one extra read for C_hat.
-    reads_for = {x: [] for x in range(256)}
-    extra = 1 if use_second_checkpoint else 0
-    for lane, seed in enumerate(pair.p):
-        x = seed
-        inputs = set()
-        for _ in range(pair.t + extra):
-            inputs.add(x)
-            x = table[x]
-        for idx in inputs:
-            reads_for[idx].append(lane)
-    escapes = []
     values = np.arange(256, dtype=np.uint8)
-    for x in range(256):
-        lanes = reads_for[x]
-        if not lanes:
-            # Never read: every wrong value escapes.  Cannot happen with
-            # a full-coverage allocation, but report it honestly.
-            escapes.extend((x, int(e)) for e in values if e != table[x])
-            continue
-        wrong = values[values != table[x]]
-        escaped = np.ones(len(wrong), dtype=bool)
-        for lane in lanes:
-            s = np.full(len(wrong), pair.p[lane], dtype=np.uint8)
-            for _ in range(pair.t):
-                s = np.where(s == x, wrong, lut[s])
-            lane_ok = s == pair.c[lane]
-            if use_second_checkpoint:
-                s2 = np.where(s == x, wrong, lut[s])
-                lane_ok &= s2 == pair.c_hat[lane]
-            escaped &= lane_ok
-        escapes.extend((x, int(e)) for e in wrong[escaped])
-    return escapes
+    escaped = values != lut[:, None]
+    for lane, seed in enumerate(pair.p):
+        # The t reads for C, the seed's among them, and one for C_hat.
+        read = [seed]
+        for _ in range(pair.t if use_second_checkpoint else pair.t - 1):
+            read.append(table[read[-1]])
+        xs = np.fromiter(set(read), dtype=np.intp)[:, None]
+        s = np.full((len(xs), 256), seed, dtype=np.uint8)
+        for _ in range(pair.t):
+            s = np.where(s == xs, values, lut[s])
+        lane_ok = s == pair.c[lane]
+        if use_second_checkpoint:
+            lane_ok &= np.where(s == xs, values, lut[s]) == pair.c_hat[lane]
+        # The rows are distinct entries, so this in-place update is exact.
+        escaped[xs[:, 0]] &= lane_ok
+    return [(int(x), int(e)) for x, e in np.argwhere(escaped)]
 
 
 @dataclass(frozen=True)

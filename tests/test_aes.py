@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from pfalab import aes, classic
 from pfalab.aes import (
     BLOCK_SIZE,
     SHIFT_ROWS_PERM,
@@ -284,3 +285,13 @@ def test_batched_calls_match_golden_vectors_and_one_block_calls(n):
         for i in checked:
             assert out[i].tobytes() == one(blocks[i].tobytes(), rk, table,
                                            shift_rows=shift_rows)
+
+
+@pytest.mark.parametrize("module,name", [
+    (aes, "_SR_IDX"), (aes, "_INV_SR_IDX"), (aes, "_ROT"), (aes, "_ROT2"),
+    (aes, "_IDENTITY"), (classic, "_BS_CROSS_COLUMNS")])
+def test_module_index_arrays_are_read_only(module, name):
+    array = getattr(module, name)
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = array[1]

@@ -216,6 +216,13 @@ def test_recovery_rejects_out_of_range_index(v, v_star):
         recover_key_maxmin(CiphertextHistogram(), v, v_star)
 
 
+@pytest.mark.parametrize("gap_threshold", [0, -3, 2.5, True])
+def test_recovery_rejects_a_gap_threshold_that_is_not_a_count(gap_threshold):
+    with pytest.raises(ValueError, match="gap_threshold"):
+        recover_key_maxmin(CiphertextHistogram(), 1, 2,
+                           gap_threshold=gap_threshold)
+
+
 @pytest.mark.parametrize("v", [-1, 256])
 def test_eliminate_candidates_rejects_out_of_range_index(v):
     with pytest.raises(ValueError, match="0..255"):

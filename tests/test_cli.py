@@ -249,6 +249,20 @@ def test_attack_names_the_first_uppercase_line(tmp_path, capsys):
                             f"chars, got {block.upper()!r}\n")
 
 
+def test_attack_shortens_a_stream_on_one_line(tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("one.txt").write_text("00112233445566778899aabbccddeeff" * 2000
+                               + "\n")
+    assert main(["attack", "one.txt", "--search"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert captured.err.startswith("error: one.txt:1: expected 32 lowercase")
+    assert "64000 chars" in captured.err
+
+
 @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
 def test_attack_rejects_a_file_without_blocks(tmp_path, capsys, text):
     empty = tmp_path / "empty.txt"

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from pfalab.rng import Rng
@@ -132,6 +133,77 @@ def test_verify_detection_clean_for_standard_table(pair):
 def test_single_checkpoint_escape_is_the_two_cycle(pair):
     escapes = verify_detection(AES_SBOX, pair, use_second_checkpoint=False)
     assert escapes == [(0x73, 0x73)]
+
+
+def _per_entry_verify_detection(table, pair, use_second_checkpoint=True):
+    """Reference: re-walk, for each entry, every lane that reads it."""
+    lut = np.frombuffer(table.entries, dtype=np.uint8)
+    reads_for = {x: [] for x in range(256)}
+    extra = 1 if use_second_checkpoint else 0
+    for lane, seed in enumerate(pair.p):
+        x = seed
+        inputs = set()
+        for _ in range(pair.t + extra):
+            inputs.add(x)
+            x = table[x]
+        for idx in inputs:
+            reads_for[idx].append(lane)
+    escapes = []
+    values = np.arange(256, dtype=np.uint8)
+    for x in range(256):
+        lanes = reads_for[x]
+        if not lanes:
+            escapes.extend((x, int(e)) for e in values if e != table[x])
+            continue
+        wrong = values[values != table[x]]
+        escaped = np.ones(len(wrong), dtype=bool)
+        for lane in lanes:
+            s = np.full(len(wrong), pair.p[lane], dtype=np.uint8)
+            for _ in range(pair.t):
+                s = np.where(s == x, wrong, lut[s])
+            lane_ok = s == pair.c[lane]
+            if use_second_checkpoint:
+                s2 = np.where(s == x, wrong, lut[s])
+                lane_ok &= s2 == pair.c_hat[lane]
+            escaped &= lane_ok
+        escapes.extend((x, int(e)) for e in wrong[escaped])
+    return escapes
+
+
+def _pair_walked(table, p, t):
+    c = p
+    for _ in range(t):
+        c = c.translate(table.entries)
+    return DetectionPair(p=p, c=c, c_hat=c.translate(table.entries), t=t)
+
+
+def _oracle_cases():
+    aes = build_detection_pair(AES_SBOX)
+    cases = {
+        "aes": (AES_SBOX, aes),
+        # The short walk of test_verify_detection_flags_never_read_entries.
+        "aes-t3": (AES_SBOX, _pair_walked(AES_SBOX, aes.p, 3)),
+        # One permutation's pair checked against another leaves many
+        # entries unread and many lanes failing fault-free.
+        "foreign": (AES_SBOX,
+                    build_detection_pair(random_permutation_table(8))),
+    }
+    for seed in range(8):
+        table = random_permutation_table(seed)
+        cases[f"random{seed}"] = (table, build_detection_pair(table))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("use_second_checkpoint", [True, False])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_verify_detection_matches_per_entry_walk(case, use_second_checkpoint):
+    table, pair = _ORACLE_CASES[case]
+    assert (verify_detection(table, pair, use_second_checkpoint)
+            == _per_entry_verify_detection(table, pair,
+                                           use_second_checkpoint))
 
 
 def test_redundant_tables_known_values(tables):
