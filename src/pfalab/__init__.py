@@ -24,7 +24,6 @@ from .attack import (
     FaultSearchResult,
     KeyRecoveryResult,
     accumulate,
-    eliminate_candidates,
     estimate_residual_keyspace,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -35,13 +34,7 @@ from .classic import (
     bs_encrypt_blocks,
     dmr_encrypt_blocks,
 )
-from .costs import (
-    CostBound,
-    CostExpr,
-    WeightProfile,
-    cost_of,
-    savings_ratio,
-)
+from .costs import CostBound, cost_of, savings_ratio
 from .experiment import (
     ConfigError,
     ExperimentConfig,

@@ -150,25 +150,6 @@ def recover_key_maxmin(
     )
 
 
-def eliminate_candidates(
-    hist: CiphertextHistogram,
-    v: int,
-) -> list[set[int]]:
-    """Shrink each position's key space by crossing off observed values.
-
-    Every value c seen at least once rules out the candidate c XOR S[v],
-    because the true key byte's companion value can never be observed.
-    With the full distribution in hand exactly the true byte survives.
-    """
-    _check_indices(v=v)
-    survivors = []
-    for j in range(BLOCK_SIZE):
-        observed = np.flatnonzero(hist.counts[j])
-        ruled_out = {int(c) ^ AES_SBOX[v] for c in observed}
-        survivors.append(set(range(256)) - ruled_out)
-    return survivors
-
-
 # A search top score below this, out of 16 positions, is inconclusive.
 INCONCLUSIVE_BELOW = 12
 

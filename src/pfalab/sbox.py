@@ -171,5 +171,3 @@ AES_SBOX = SBoxTable(bytes((
 )))
 
 AES_INV_SBOX = AES_SBOX.inverse()
-
-IDENTITY_TABLE = SBoxTable(bytes(range(256)))

@@ -5,10 +5,15 @@ Two artifacts are derived from a table ahead of deployment:
 * A detection pair (P, C): a 16-byte seed block P and the block C
   obtained by applying the table to P sixteen bytes at a time for t
   rounds.  Seeds are placed along the cycles of the table's permutation
-  so that t applications read every table entry at least once; a single
-  corrupted entry then almost surely perturbs C.  The one exception is a
-  fault that maps an entry onto a short cycle in a self-masking way,
-  which is caught by also checking the (t+1)-th block C_hat.
+  so that t applications read every table entry at least once, and the
+  (t+1)-th block C_hat is stored as a second checkpoint.  Reading every
+  entry does not by itself make every single fault perturb C or C_hat:
+  a fault can send a lane round a short cycle and back onto its
+  fault-free checkpoint.  verify_detection certifies a pair table by
+  table over all single faults.  It finds no escape for the AES S-box
+  or its inverse (with C alone, each has one, at entry 0x73), but it
+  does for tables in general: five of the eight random permutations
+  that Rng seeds 0-7 shuffle have escapes even with C_hat.
 
 * Redundant parity tables (H, V): byte-wise XOR of horizontally and
   vertically adjacent entries in the 16x16 grid view.  Any entry can be

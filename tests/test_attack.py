@@ -5,7 +5,6 @@ from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
 from pfalab.attack import (
     CiphertextHistogram,
     accumulate,
-    eliminate_candidates,
     estimate_residual_keyspace,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -107,22 +106,6 @@ def test_zero_values_shrink_to_the_missing_one():
             [AES_SBOX[v] ^ k10[j]]
 
 
-def test_eliminate_candidates_converges_to_truth():
-    cts, k10, v, _ = faulted_stream(66, 8000)
-    hist = accumulate(cts)
-    survivors = eliminate_candidates(hist, v)
-    for j in range(16):
-        assert survivors[j] == {k10[j]}
-
-
-def test_eliminate_candidates_partial_stream_keeps_truth():
-    cts, k10, v, _ = faulted_stream(67, 300)
-    survivors = eliminate_candidates(accumulate(cts), v)
-    for j in range(16):
-        assert k10[j] in survivors[j]
-        assert len(survivors[j]) > 1
-
-
 def test_search_ranks_planted_fault_in_top_group():
     cts, _, v, v_star = faulted_stream(68, 10_000)
     found = search_fault_values(accumulate(cts))
@@ -221,12 +204,6 @@ def test_recovery_rejects_a_gap_threshold_that_is_not_a_count(gap_threshold):
     with pytest.raises(ValueError, match="gap_threshold"):
         recover_key_maxmin(CiphertextHistogram(), 1, 2,
                            gap_threshold=gap_threshold)
-
-
-@pytest.mark.parametrize("v", [-1, 256])
-def test_eliminate_candidates_rejects_out_of_range_index(v):
-    with pytest.raises(ValueError, match="0..255"):
-        eliminate_candidates(CiphertextHistogram(), v)
 
 
 @pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])

@@ -3,7 +3,6 @@ import pytest
 from pfalab.sbox import (
     AES_INV_SBOX,
     AES_SBOX,
-    IDENTITY_TABLE,
     NotAPermutation,
     SBoxTable,
     down,
@@ -37,7 +36,8 @@ def test_is_permutation_and_inverse():
 
 
 def test_identity_table():
-    assert all(IDENTITY_TABLE[x] == x for x in range(256))
+    identity = SBoxTable(bytes(range(256)))
+    assert all(identity[x] == x for x in range(256))
 
 
 def test_rejects_non_permutation_inverse():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, SBoxTable, down, right
+from pfalab.sbox import AES_INV_SBOX, AES_SBOX, SBoxTable, down, right
 from pfalab.sbox_analysis import (
     DetectionPair,
     InfeasibleAllocation,
@@ -130,6 +130,11 @@ def test_verify_detection_clean_for_standard_table(pair):
     assert verify_detection(AES_SBOX, pair) == []
 
 
+def test_verify_detection_clean_for_inverse_table():
+    pair = build_detection_pair(AES_INV_SBOX)
+    assert verify_detection(AES_INV_SBOX, pair) == []
+
+
 def test_single_checkpoint_escape_is_the_two_cycle(pair):
     escapes = verify_detection(AES_SBOX, pair, use_second_checkpoint=False)
     assert escapes == [(0x73, 0x73)]
@@ -204,6 +209,15 @@ def test_verify_detection_matches_per_entry_walk(case, use_second_checkpoint):
     assert (verify_detection(table, pair, use_second_checkpoint)
             == _per_entry_verify_detection(table, pair,
                                            use_second_checkpoint))
+
+
+def test_random_permutations_can_escape_detection():
+    # Every entry is read, yet a fault can send a lane round a short
+    # cycle and back onto its checkpoint: the pair is not complete for
+    # tables in general.
+    escapes = [len(verify_detection(*_ORACLE_CASES[f"random{seed}"]))
+               for seed in range(8)]
+    assert escapes == [8, 6, 21, 4, 0, 0, 5, 0]
 
 
 def test_redundant_tables_known_values(tables):
