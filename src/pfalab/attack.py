@@ -123,22 +123,20 @@ def recover_key_maxmin(
     if type(gap_threshold) is not int or gap_threshold < 1:
         raise ValueError("gap_threshold must be an int of at least 1, "
                          f"got {gap_threshold!r}")
+    counts = hist.counts
+    c_min = counts.argmin(axis=1).tolist()
+    c_max = counts.argmax(axis=1).tolist()
+    zeros = np.count_nonzero(counts == 0, axis=1).tolist()
+    confidence = np.partition(counts, 1, axis=1)[:, 1].tolist()
+    s_v, s_v_star = AES_SBOX[v], AES_SBOX[v_star]
     recovered = []
     candidate_sets = []
-    confidence = []
     confident = []
-    for j in range(BLOCK_SIZE):
-        counts = hist.counts[j]
-        c_min = int(counts.argmin())
-        c_max = int(counts.argmax())
-        k1 = c_min ^ AES_SBOX[v]
-        k2 = c_max ^ AES_SBOX[v_star]
-        zeros = int((counts == 0).sum())
-        second_smallest = int(np.partition(counts, 1)[1])
-        recovered.append(k1 if zeros == 1 else None)
-        candidate_sets.append(frozenset({k1, k2}))
-        confidence.append(second_smallest)
-        confident.append(zeros == 1 and second_smallest >= gap_threshold)
+    for low, high, n_zeros, gap in zip(c_min, c_max, zeros, confidence):
+        k1 = low ^ s_v
+        recovered.append(k1 if n_zeros == 1 else None)
+        candidate_sets.append(frozenset({k1, high ^ s_v_star}))
+        confident.append(n_zeros == 1 and gap >= gap_threshold)
     return KeyRecoveryResult(
         recovered=tuple(recovered),
         candidate_sets=tuple(candidate_sets),
@@ -169,11 +167,6 @@ class FaultSearchResult:
     top_score: int
     inconclusive: bool
     scores: np.ndarray = field(repr=False, compare=False)
-
-    def top_group(self) -> list[tuple[int, int]]:
-        """All pairs tied at top_score, in row-major order."""
-        pairs = np.argwhere(self.scores == self.top_score).tolist()
-        return list(map(tuple, pairs))
 
 
 def search_fault_values(hist: CiphertextHistogram) -> FaultSearchResult:

@@ -83,27 +83,29 @@ def _cmd_run(args) -> int:
 
 
 def _read_blocks(path: str) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    texts = [text for text in map(str.strip, lines) if text]
-    if not texts:
-        raise ValueError(f"{path}: no ciphertext blocks")
-    joined = "".join(texts)
+    # read_text turns CRLF into LF.  fromhex skips whitespace and takes
+    # uppercase digits, so only the round trip back to one block per
+    # line admits the canonical layout.  hex() counts its separators
+    # from the right, so without the length check a short first line
+    # would pass it.  Any other layout is read line by line.
+    text = Path(path).read_text()
     try:
-        data = bytes.fromhex(joined)
+        data = bytes.fromhex(text)
     except ValueError:
         data = b""
-    # fromhex also takes uppercase digits and inner spaces; the round
-    # trip back to text admits only lowercase hex digits.
-    if data.hex() != joined or set(map(len, texts)) != {2 * BLOCK_SIZE}:
-        for line_no, line in enumerate(lines, 1):
-            text = line.strip()
-            if text:
+    if (len(data) % BLOCK_SIZE
+            or text != data.hex("\n", BLOCK_SIZE) + "\n"):
+        blocks = []
+        for line_no, line in enumerate(text.splitlines(), 1):
+            if line := line.strip():
                 try:
-                    block_from_hex(text)
+                    blocks.append(block_from_hex(line))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    blocks = np.frombuffer(data, dtype=np.uint8)
-    return blocks.reshape(len(texts), BLOCK_SIZE)
+        data = b"".join(blocks)
+    if not data:
+        raise ValueError(f"{path}: no ciphertext blocks")
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
 
 
 def _cmd_attack(args) -> int:
@@ -126,7 +128,8 @@ def _cmd_attack(args) -> int:
             "top_score": found.top_score,
             "inconclusive": found.inconclusive,
             "difference": AES_SBOX[v] ^ AES_SBOX[v_star],
-            "candidates": len(found.top_group()),
+            "candidates": int(np.count_nonzero(
+                found.scores == found.top_score)),
         }
     else:
         v, v_star = args.v, args.v_star

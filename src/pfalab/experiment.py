@@ -436,10 +436,11 @@ def _curve_blocks(curves: Curves, trial: int):
     Each (positions[i], points[j], value) gives the line
     trial,position,value,n,count / n (repr'd) for n = points[j] and
     count = counts[i, j, value], in counts order.  The heads are
-    formatted once per position and the tails once per distinct
-    (n, count) pair of a block.  The float64 division is correctly
-    rounded, as Python's int / int is, so the probabilities equal the
-    exact-integer ones.
+    formatted once per position.  A block's tails are built per distinct
+    (n, count) pair from its n texts and one repr per distinct count / n
+    value, since many pairs share a probability.  The float64 division
+    is correctly rounded, as Python's int / int is, so the probabilities
+    equal the exact-integer ones.
     """
     for position, per_point in zip(curves.positions, curves.counts):
         heads = [f"{trial},{position},{value}" for value in range(256)]
@@ -448,11 +449,16 @@ def _curve_blocks(curves: Curves, trial: int):
             counts = per_point[start:start + _BLOCK_POINTS]
             keys = counts * points.size + np.arange(points.size)[:, None]
             pairs, inverse = np.unique(keys, return_inverse=True)
-            n_seen = points[pairs % points.size]
-            probabilities = pairs // points.size / n_seen
-            tails = np.array([f",{n},{probability!r}\n" for n, probability
-                              in zip(n_seen.tolist(), probabilities.tolist())],
-                             dtype=object)
+            point_of_pair = pairs % points.size
+            probabilities, text_of_pair = np.unique(
+                pairs // points.size / points[point_of_pair],
+                return_inverse=True)
+            n_texts = np.array([f",{n}," for n in points.tolist()],
+                               dtype=object)
+            probability_texts = np.array(
+                [f"{value!r}\n" for value in probabilities.tolist()],
+                dtype=object)
+            tails = n_texts[point_of_pair] + probability_texts[text_of_pair]
             pieces = np.empty((*counts.shape, 2), dtype=object)
             pieces[..., 0] = heads
             pieces[..., 1] = tails[inverse.reshape(counts.shape)]

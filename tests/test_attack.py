@@ -113,7 +113,7 @@ def test_search_ranks_planted_fault_in_top_group():
     # The never-seen value is exact; the most-frequent one still
     # fluctuates at this sample size, so a position or two may stray.
     assert found.top_score >= 12
-    assert (v, v_star) in found.top_group()
+    assert [v, v_star] in np.argwhere(found.scores == found.top_score).tolist()
 
 
 def test_search_is_inconclusive_on_uniform_stream():
@@ -177,12 +177,41 @@ def test_search_matches_tuple_sort_reference():
         assert found.best == (v, v_star)
         assert found.top_score == top
         assert found.inconclusive == (top < 12)
-        assert found.top_group() == [(a, b) for a, b, s in ranked
-                                     if s == top]
+        top_group = np.argwhere(found.scores == found.top_score).tolist()
+        assert top_group == [[a, b] for a, b, s in ranked if s == top]
         pairs = np.array(ranked)
         assert (found.scores[pairs[:, 0], pairs[:, 1]] == pairs[:, 2]).all()
         assert (np.diag(found.scores) == -1).all()
         assert not found.scores.flags.writeable
+
+
+def _recover_per_position(hist, v, v_star, gap_threshold):
+    """The reference recovery: each position's extremes, zero count and
+    second-smallest count read on its own."""
+    recovered, candidate_sets, confidence, confident = [], [], [], []
+    for j in range(BLOCK_SIZE):
+        counts = hist.counts[j]
+        k1 = int(counts.argmin()) ^ AES_SBOX[v]
+        k2 = int(counts.argmax()) ^ AES_SBOX[v_star]
+        zeros = int((counts == 0).sum())
+        second_smallest = int(np.partition(counts, 1)[1])
+        recovered.append(k1 if zeros == 1 else None)
+        candidate_sets.append(frozenset({k1, k2}))
+        confidence.append(second_smallest)
+        confident.append(zeros == 1 and second_smallest >= gap_threshold)
+    return (tuple(recovered), tuple(candidate_sets), tuple(confidence),
+            tuple(confident))
+
+
+def test_recover_key_maxmin_matches_per_position_reference():
+    for hist in _search_oracle_histograms():
+        for v, v_star, gap_threshold in ((0x42, 0x07, 5), (0, 1, 1),
+                                         (0xFF, 0x3C, 2)):
+            got = recover_key_maxmin(hist, v, v_star,
+                                     gap_threshold=gap_threshold)
+            assert (got.recovered, got.candidate_sets, got.confidence,
+                    got.confident) == _recover_per_position(
+                        hist, v, v_star, gap_threshold)
 
 
 def test_search_on_empty_histogram_scores_zero():
@@ -190,7 +219,7 @@ def test_search_on_empty_histogram_scores_zero():
     assert found.best == (0, 1)
     assert found.top_score == 0
     assert found.inconclusive
-    assert len(found.top_group()) == 256 * 255
+    assert len(np.argwhere(found.scores == found.top_score)) == 256 * 255
 
 
 @pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])

@@ -213,12 +213,22 @@ def test_attack_argument_errors(stream_file, capsys):
     capsys.readouterr()
 
 
-def test_attack_rejects_bad_hex(tmp_path, capsys):
+# The last two texts' hex bytes are not a whole number of blocks.  hex()
+# counts its separators from the right, so a short first line would read
+# back as one block per line were the length left unchecked.
+@pytest.mark.parametrize("text,line", [
+    pytest.param("00ff\n", 1, id="short-line"),
+    pytest.param("00112233445566778899aabbccddeeff\n00ff\n", 2,
+                 id="short-last-line"),
+    pytest.param("00ff\n00112233445566778899aabbccddeeff\n", 1,
+                 id="short-first-line"),
+])
+def test_attack_rejects_bad_hex(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.txt"
-    bad.write_text("00ff\n")
+    bad.write_text(text)
     assert main(["attack", str(bad), "--v", "1", "--v-star", "2"]) == 1
     err = capsys.readouterr().err
-    assert "bad.txt:1" in err
+    assert f"bad.txt:{line}" in err
 
 
 def _attack_output(path, capsys):
@@ -236,6 +246,9 @@ def test_attack_reads_crlf_and_blank_lines(stream_file, tmp_path, capsys):
     padded = tmp_path / "padded.txt"
     padded.write_text("\n  \n" + "\n \t \n".join(" " + line for line in lines))
     assert _attack_output(padded, capsys) == expected
+    unended = tmp_path / "unended.txt"
+    unended.write_text("\n".join(lines))
+    assert _attack_output(unended, capsys) == expected
 
 
 def test_attack_names_the_first_uppercase_line(tmp_path, capsys):
