@@ -30,6 +30,11 @@ import numpy as np
 from .aes import BLOCK_SIZE
 from .sbox import AES_SBOX
 
+# The default count gap a recovered byte needs before it is confident.
+GAP_THRESHOLD = 5
+# A search top score below this, out of 16 positions, is inconclusive.
+INCONCLUSIVE_BELOW = 12
+
 
 class CiphertextHistogram:
     """Per-position counts of ciphertext byte values."""
@@ -103,7 +108,7 @@ def recover_key_maxmin(
     hist: CiphertextHistogram,
     v: int,
     v_star: int,
-    gap_threshold: int = 5,
+    gap_threshold: int = GAP_THRESHOLD,
 ) -> KeyRecoveryResult:
     """Recover round-10 key bytes from the histogram's extremes.
 
@@ -146,10 +151,6 @@ def recover_key_maxmin(
         confident=tuple(confident),
         gap_threshold=gap_threshold,
     )
-
-
-# A search top score below this, out of 16 positions, is inconclusive.
-INCONCLUSIVE_BELOW = 12
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,17 @@ def min_ciphertexts_to_recover(
     true_round10_key: bytes,
     v: int,
     v_star: int,
-    zco_filter: bool = False,
+    kept: np.ndarray | None = None,
 ) -> int | None:
     """Smallest stream prefix that recovers the full round-10 key.
 
     Returns the first N at which recover_key_maxmin over the first N
     blocks reports all 16 bytes equal to the truth, or None when the
     stream never gets there (the NotReached outcome).  N counts every
-    emitted block; with zco_filter the all-zero blocks still advance N
-    but stay out of the histogram, mirroring what the adversary facing
-    a zero-on-mismatch device would do.
+    emitted block.  kept, when given, is the bool mask over the emitted
+    stream that selected ciphertexts from it: the dropped blocks (the
+    all-zero ones, for an adversary facing a zero-on-mismatch device)
+    still advance N but stay out of the histogram.
 
     Equivalent to re-running the recovery after every block: position j
     reports the true byte exactly when its one missing value is
@@ -228,14 +230,15 @@ def min_ciphertexts_to_recover(
     blocks = np.asarray(ciphertexts, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
         raise ValueError("expected an (n, 16) array of blocks")
-    n = blocks.shape[0]
+    if kept is None:
+        kept = np.ones(blocks.shape[0], dtype=bool)
+    n = kept.shape[0]
+    positions = np.flatnonzero(kept) + 1
+    if positions.shape[0] != blocks.shape[0]:
+        raise ValueError(f"kept selects {positions.shape[0]} blocks, "
+                         f"got {blocks.shape[0]}")
     if n == 0:
         return None
-    positions = np.arange(1, n + 1, dtype=np.int64)
-    if zco_filter:
-        kept = blocks.any(axis=1)
-        blocks = blocks[kept]
-        positions = positions[kept]
     never = n + 1
     first_seen = np.full((BLOCK_SIZE, 256), never, dtype=np.int64)
     for j in range(BLOCK_SIZE):

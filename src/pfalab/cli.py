@@ -16,6 +16,7 @@ import numpy as np
 
 from .aes import BLOCK_SIZE, block_from_hex
 from .attack import (
+    GAP_THRESHOLD,
     accumulate,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -88,7 +89,10 @@ def _read_blocks(path: str) -> np.ndarray:
     # line admits the canonical layout.  hex() counts its separators
     # from the right, so without the length check a short first line
     # would pass it.  Any other layout is read line by line.
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     try:
         data = bytes.fromhex(text)
     except ValueError:
@@ -118,7 +122,8 @@ def _cmd_attack(args) -> int:
         raise ValueError("--gap-threshold must be at least 1, "
                          f"got {args.gap_threshold}")
     blocks = _read_blocks(args.ciphertexts)
-    stream = blocks[blocks.any(axis=1)] if args.zco_filter else blocks
+    kept = blocks.any(axis=1) if args.zco_filter else None
+    stream = blocks if kept is None else blocks[kept]
     hist = accumulate(stream)
     output = {}
     if args.search:
@@ -140,8 +145,7 @@ def _cmd_attack(args) -> int:
     output["gap_threshold"] = recovery.gap_threshold
     if args.true_k10 is not None:
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
-            blocks, block_from_hex(args.true_k10), v, v_star,
-            zco_filter=args.zco_filter)
+            stream, block_from_hex(args.true_k10), v, v_star, kept=kept)
     if args.hist_out is not None:
         Path(args.hist_out).write_text(hist.to_csv())
     _write_or_print(json.dumps(output, sort_keys=True) + "\n", args.out)
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drop all-zero blocks from the histogram")
     attack.add_argument("--true-k10",
                         help="known round-10 key, for the minimum count")
-    attack.add_argument("--gap-threshold", type=int, default=5)
+    attack.add_argument("--gap-threshold", type=int, default=GAP_THRESHOLD)
     attack.add_argument("--hist-out", help="write histogram CSV here")
     attack.add_argument("--out", help="write JSON here instead of stdout")
     attack.set_defaults(func=_cmd_attack)

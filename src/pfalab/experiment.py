@@ -32,6 +32,7 @@ from .aes import (
     key_expand,
 )
 from .attack import (
+    GAP_THRESHOLD,
     accumulate,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -106,7 +107,7 @@ class ExperimentConfig:
     dmr_defense: str = ZCO
     fault_scope: str | None = None
     dc_max_rounds: int = 2
-    gap_threshold: int = 5
+    gap_threshold: int = GAP_THRESHOLD
     curve_trials: int = 1
     curve_positions: tuple = (0,)
     curve_grid: int = 100
@@ -332,7 +333,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     public, extras = _DEVICES[config.implementation](
         config, round_keys, faulted, plaintexts, rco_rng)
     zco_filter = config.implementation == DMR and config.dmr_defense == ZCO
-    attack_stream = public[public.any(axis=1)] if zco_filter else public
+    kept = public.any(axis=1) if zco_filter else None
+    attack_stream = public if kept is None else public[kept]
 
     x0, e0 = spec.faults[0]
     v = x0
@@ -342,7 +344,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     recovery = recover_key_maxmin(hist, v, v_star,
                                   gap_threshold=config.gap_threshold)
     min_ct = min_ciphertexts_to_recover(
-        public, true_k10, v, v_star, zco_filter=zco_filter)
+        attack_stream, true_k10, v, v_star, kept=kept)
 
     n_present = sum(1 for b in recovery.recovered if b is not None)
     n_correct = sum(1 for j, b in enumerate(recovery.recovered)

@@ -292,15 +292,15 @@ def test_min_ciphertexts_with_zero_block_filter():
     cts, k10, v, v_star = faulted_stream(73, 4000)
     reached = min_ciphertexts_to_recover(cts, k10, v, v_star)
     # Interleave a zero block after every third ciphertext.
-    keep = np.ones(cts.shape[0], dtype=bool)
     padded = []
     for i in range(cts.shape[0]):
         padded.append(cts[i])
         if i % 3 == 2:
             padded.append(np.zeros(BLOCK_SIZE, dtype=np.uint8))
     padded = np.array(padded, dtype=np.uint8)
-    filtered = min_ciphertexts_to_recover(padded, k10, v, v_star,
-                                          zco_filter=True)
+    kept = padded.any(axis=1)
+    filtered = min_ciphertexts_to_recover(padded[kept], k10, v, v_star,
+                                          kept=kept)
     slow = _min_ct_by_replay(padded, k10, v, v_star, zco_filter=True)
     assert filtered == slow
     # The padded index counts emitted blocks, zero blocks included.
@@ -314,6 +314,10 @@ def test_min_ciphertexts_validates_shape():
                                    bytes(16), 1, 2)
     assert min_ciphertexts_to_recover(
         np.zeros((0, 16), dtype=np.uint8), bytes(16), 1, 2) is None
+    with pytest.raises(ValueError, match="kept selects 3 blocks, got 4"):
+        min_ciphertexts_to_recover(np.zeros((4, 16), dtype=np.uint8),
+                                   bytes(16), 1, 2,
+                                   kept=np.ones(3, dtype=bool))
 
 
 def test_residual_keyspace_formula():

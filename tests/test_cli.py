@@ -286,6 +286,16 @@ def test_attack_rejects_a_file_without_blocks(tmp_path, capsys, text):
     assert captured.err == f"error: {empty}: no ciphertext blocks\n"
 
 
+def test_attack_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.txt"
+    bad.write_bytes(b"\xff00112233445566778899aabbccddeeff\n")
+    assert main(["attack", str(bad), "--search"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag,value", [("--v", "-1"), ("--v", "0x100"),
                                         ("--v-star", "-1"),
                                         ("--v-star", "0x100")])
