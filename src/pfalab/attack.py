@@ -203,7 +203,6 @@ def min_ciphertexts_to_recover(
     ciphertexts,
     true_round10_key: bytes,
     v: int,
-    v_star: int,
     kept: np.ndarray | None = None,
 ) -> int | None:
     """Smallest stream prefix that recovers the full round-10 key.
@@ -223,7 +222,7 @@ def min_ciphertexts_to_recover(
     moments are functions of each value's first occurrence, so one pass
     suffices.
     """
-    _check_indices(v=v, v_star=v_star)
+    _check_indices(v=v)
     if len(true_round10_key) != BLOCK_SIZE:
         raise ValueError(f"expected a {BLOCK_SIZE}-byte round-10 key, "
                          f"got {len(true_round10_key)} bytes")

@@ -145,7 +145,7 @@ def _cmd_attack(args) -> int:
     output["gap_threshold"] = recovery.gap_threshold
     if args.true_k10 is not None:
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
-            stream, block_from_hex(args.true_k10), v, v_star, kept=kept)
+            stream, block_from_hex(args.true_k10), v, kept=kept)
     if args.hist_out is not None:
         Path(args.hist_out).write_text(hist.to_csv())
     _write_or_print(json.dumps(output, sort_keys=True) + "\n", args.out)

@@ -344,7 +344,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     recovery = recover_key_maxmin(hist, v, v_star,
                                   gap_threshold=config.gap_threshold)
     min_ct = min_ciphertexts_to_recover(
-        attack_stream, true_k10, v, v_star, kept=kept)
+        attack_stream, true_k10, v, kept=kept)
 
     n_present = sum(1 for b in recovery.recovered if b is not None)
     n_correct = sum(1 for j, b in enumerate(recovery.recovered)

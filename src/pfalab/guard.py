@@ -4,12 +4,14 @@ The guard runs before each encryption:
 
 1. detect: walk the stored seed block P through t table applications
    and compare against the precomputed checkpoint C, then one further
-   step against C_hat.  Any single corrupted entry flips the
-   comparison, at the cost of 16*t extra lookups and no storage beyond
-   three blocks.
+   step against C_hat.  Any single corrupted entry of a table that
+   sbox_analysis.verify_detection certifies (the AES S-box and its
+   inverse) flips the comparison, at the cost of 16*t extra lookups and
+   no storage beyond three blocks.
 
-2. correct: if detection fires, rebuild entries by majority vote over
-   the four neighbour reconstructions offered by the parity tables.
+2. correct: called only once detect has fired, rebuild entries by
+   majority vote over the four neighbour reconstructions offered by
+   the parity tables.
    Each is the entry XOR the syndrome of one of its grid edges (the
    edge's two entries XOR their parity), nonzero only where that check
    fails, so an entry on passing edges only is a fixed point.  A sweep
@@ -54,8 +56,8 @@ class GuardConfig:
     max_correction_rounds: int = 16
 
     def __post_init__(self):
-        # correct() stops when the sweep count equals the budget, which
-        # a fractional budget never does; a bool is not a count.
+        # correct() counts its sweeps up to the budget, which a
+        # fractional budget never is; a bool is not a count.
         if (type(self.max_correction_rounds) is not int
                 or self.max_correction_rounds < 1):
             raise ValueError("max_correction_rounds must be an int of at "
@@ -145,8 +147,8 @@ class CorrectionReport:
 
     changed_entries lists (index, old value, new value) in write order;
     unresolved lists the indices where the final state's vote still
-    cannot decide.  converged means the checkpoint walk passes on the
-    final table.
+    cannot decide.  correct() starts from a table detect rejected, so
+    converged means a vote changed the table and the walk then passed.
     """
 
     converged: bool
@@ -169,34 +171,33 @@ def correct(
     pair: DetectionPair,
     cfg: GuardConfig = DEFAULT_GUARD,
 ) -> tuple[SBoxTable, CorrectionReport]:
-    """Repair a working copy of the table by repeated vote sweeps.
+    """Repair a working copy of a table that detect has rejected.
 
-    Sweeps run until the checkpoint walk passes, a sweep changes
-    nothing, or the round budget is spent.  Writes within a round are
-    simultaneous (every vote reads the same snapshot), so entry order
-    never matters and rounds_used is well defined.
+    Each round votes, writes, and walks the new table once; rounds stop
+    when the walk passes, a vote changes nothing, or the round budget is
+    spent.  Writes within a round are simultaneous (every vote reads the
+    same snapshot), so entry order never matters and rounds_used is well
+    defined.
     """
     working = table
     lanes = to_lanes(table.entries)
     v, h = to_lanes(tables.v), to_lanes(tables.h)
     changed_entries: list[tuple[int, int, int]] = []
-    rounds_used = 0
-    while True:
-        converged = not detect(working, pair)
-        if converged or rounds_used == cfg.max_correction_rounds:
-            # Unresolved is assessed on the final state so that converged
-            # (clean detect) always implies an empty list.
-            unresolved = _vote(lanes, v, h)[1]
-            break
+    converged = False
+    for rounds_used in range(1, cfg.max_correction_rounds + 1):
         delta, unresolved = _vote(lanes, v, h)
-        rounds_used += 1
         if not delta:
-            break  # the entries stand as detect just rejected them
+            break  # the entries stand as the last walk rejected them
         old = working.entries
         lanes ^= delta
         working = SBoxTable(from_lanes(lanes))
         changed_entries += [(x, old[x], working.entries[x])
                             for x in _lanes_of(_HIGH ^ _zero_lanes(delta))]
+        converged = not detect(working, pair)
+        if converged:
+            break
+    if delta:
+        unresolved = _vote(lanes, v, h)[1]  # the vote of the final table
     return working, CorrectionReport(
         converged=converged, rounds_used=rounds_used,
         changed_entries=tuple(changed_entries),

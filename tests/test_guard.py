@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from pfalab import guard
 from pfalab.faults import (
     BIT_FLIP,
     CLUSTERED,
@@ -110,20 +111,16 @@ def test_correct_single_fault_one_round(pair, tables):
     assert report.unresolved == ()
 
 
-def test_correct_leaves_pristine_table_alone(pair, tables):
-    fixed, report = correct(AES_SBOX, tables, pair)
-    assert fixed == AES_SBOX
-    assert report.converged
-    assert report.rounds_used == 0
-    assert report.changed_entries == ()
+def _faulted_block3():
+    """The 3x3 block of entries at the grid's corner, seeded values."""
+    block3 = [16 * r + c for r in range(3) for c in range(3)]
+    rng = Rng(13)
+    return inject(AES_SBOX, FaultSpec(tuple(
+        (x, AES_SBOX[x] ^ (1 + rng.randrange(255))) for x in block3)))
 
 
 def test_correct_respects_round_budget(pair, tables):
-    block3 = [16 * r + c for r in range(3) for c in range(3)]
-    rng = Rng(13)
-    spec = FaultSpec(tuple((x, AES_SBOX[x] ^ (1 + rng.randrange(255)))
-                           for x in block3))
-    faulted = inject(AES_SBOX, spec)
+    faulted = _faulted_block3()
     tight = GuardConfig(max_correction_rounds=2)
     fixed, report = correct(faulted, tables, pair, tight)
     assert not report.converged
@@ -134,6 +131,25 @@ def test_correct_respects_round_budget(pair, tables):
     assert report.converged
     assert report.rounds_used == 3
     assert fixed == AES_SBOX
+
+
+@pytest.mark.parametrize("case,budget,walks", [
+    ("single", 16, 1), ("block3", 2, 2), ("block3", 16, 3)])
+def test_correct_walks_each_written_table_once(monkeypatch, pair, tables,
+                                               case, budget, walks):
+    # The caller's detect already rejected the input table, so correct()
+    # walks only the tables its rounds write.
+    calls = []
+
+    def counting_detect(*args):
+        calls.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(guard, "detect", counting_detect)
+    faulted = (inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+               if case == "single" else _faulted_block3())
+    guard.correct(faulted, tables, pair, GuardConfig(budget))
+    assert len(calls) == walks
 
 
 def test_sweep_never_corrupts_best_case(pair, tables):
