@@ -6,8 +6,8 @@ The guard runs before each encryption:
    and compare against the precomputed checkpoint C, then one further
    step against C_hat.  Any single corrupted entry of a table that
    sbox_analysis.verify_detection certifies (the AES S-box and its
-   inverse) flips the comparison, at the cost of 16*t extra lookups and
-   no storage beyond three blocks.
+   inverse) flips the comparison, at the cost of 16*(t+1) lookups (336
+   for the AES pair) and no storage beyond three blocks.
 
 2. correct: called only once detect has fired, rebuild entries by
    majority vote over the four neighbour reconstructions offered by
@@ -18,6 +18,8 @@ The guard runs before each encryption:
    votes all 256 entries at once as the byte lanes of one 2048-bit int
    (sbox.to_lanes): the syndromes come from the sbox lane moves, and
    the comparisons, the vote and the write are whole-int bit operations.
+   A lone faulty entry (its four edges, and no others, fail with one
+   syndrome) is voted in closed form, skipping the pairwise comparisons.
    One sweep repairs any entry that still has at least two sound votes;
    denser damage is peeled from the outside in over repeated sweeps.
    Every sweep covers the whole table.
@@ -38,7 +40,9 @@ from .sbox import (
     lanes_left,
     lanes_right,
     lanes_up,
+    left,
     to_lanes,
+    up,
 )
 from .sbox_analysis import DetectionPair, RedundantTables
 
@@ -71,10 +75,10 @@ def detect(table: SBoxTable, pair: DetectionPair) -> bool:
     """True when the table fails the checkpoint walk (fault present):
     the block after t steps differs from C, or the one after t + 1 steps
     from C_hat."""
-    block = pair.p
+    block, entries = pair.p, table.entries
     for _ in range(pair.t):
-        block = block.translate(table.entries)
-    return block != pair.c or block.translate(table.entries) != pair.c_hat
+        block = block.translate(entries)
+    return block != pair.c or block.translate(entries) != pair.c_hat
 
 
 # Byte-lane constants: bit 7, and bits 0-6, of every lane.
@@ -93,15 +97,15 @@ def _widen(high: int) -> int:
     return (high >> 7) * 0xFF
 
 
-def _lanes_of(high: int) -> list[int]:
-    """The set lanes of a bit-7 lane mask, ascending.  One find per set
-    lane: faults are sparse, and a numpy call costs several finds."""
-    lanes = from_lanes(high)
-    found = []
-    x = lanes.find(0x80)
-    while x >= 0:
+def _lanes_of(lanes: int) -> list[int]:
+    """The nonzero lanes of a lane int, ascending.  One lowest-set-bit
+    step per lane, shifting the lanes found out: faults are sparse."""
+    found, x = [], -1
+    while lanes:
+        skip = ((lanes & -lanes).bit_length() - 1) >> 3
+        x += skip + 1
         found.append(x)
-        x = lanes.find(0x80, x + 1)
+        lanes >>= 8 * skip + 8
     return found
 
 
@@ -117,11 +121,22 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
     4-of-4 for itself.  v and h are the parity tables as lane ints.
     Returns (delta, unresolved): lanes ^ delta is the voted table, and
     unresolved has bit 7 set where a vote cannot decide.
+
+    One entry x with error e fails exactly its four edges, all with
+    syndrome e: sv is e in lanes x and up(x), sh is e in lanes x and
+    left(x), and x is the one lane of sv & sh.  Then x votes 4-0 for e,
+    each of its four neighbours 3-1 for itself (one failing edge), and
+    every other entry 4-0 for itself, so delta is e in lane x alone.
     """
     sv = lanes ^ lanes_down(lanes) ^ v
     sh = lanes ^ lanes_right(lanes) ^ h
     if not sv | sh:
         return 0, 0
+    x = max((sv & sh).bit_length() - 1, 0) >> 3  # empty: x = 0, no match
+    e = (sv >> 8 * x) & 0xFF
+    if (sv == e << 8 * x | e << 8 * up(x)
+            and sh == e << 8 * x | e << 8 * left(x)):
+        return e << 8 * x, 0
     s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
     # eij: candidates i and j agree.
     e01 = _zero_lanes(s0 ^ s1)
@@ -192,7 +207,7 @@ def correct(
         lanes ^= delta
         working = SBoxTable(from_lanes(lanes))
         changed_entries += [(x, old[x], working.entries[x])
-                            for x in _lanes_of(_HIGH ^ _zero_lanes(delta))]
+                            for x in _lanes_of(delta)]
         converged = not detect(working, pair)
         if converged:
             break

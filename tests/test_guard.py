@@ -26,6 +26,10 @@ from pfalab.sbox import (
     AES_SBOX,
     SBoxTable,
     down,
+    lanes_down,
+    lanes_left,
+    lanes_right,
+    lanes_up,
     left,
     right,
     to_lanes,
@@ -98,6 +102,126 @@ def test_reconstruction_identity_on_pristine(tables):
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
         assert planted == AES_SBOX
+
+
+# The general lane vote as it stood before the one-entry closed form,
+# with its own lane helpers: every pattern runs the pairwise comparisons.
+_REF_HIGH = int.from_bytes(b"\x80" * 256, "little")
+_REF_LOW7 = int.from_bytes(b"\x7f" * 256, "little")
+
+
+def _ref_zero_lanes(lanes):
+    return _REF_HIGH & ~(((lanes & _REF_LOW7) + _REF_LOW7) | lanes)
+
+
+def _ref_widen(high):
+    return (high >> 7) * 0xFF
+
+
+def _reference_vote(lanes, v, h):
+    sv = lanes ^ lanes_down(lanes) ^ v
+    sh = lanes ^ lanes_right(lanes) ^ h
+    if not sv | sh:
+        return 0, 0
+    s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
+    e01 = _ref_zero_lanes(s0 ^ s1)
+    e02 = _ref_zero_lanes(s0 ^ s2)
+    e03 = _ref_zero_lanes(s0 ^ s3)
+    e12 = _ref_zero_lanes(s1 ^ s2)
+    e13 = _ref_zero_lanes(s1 ^ s3)
+    e23 = _ref_zero_lanes(s2 ^ s3)
+    resolved = (e01 ^ e02 ^ e03 ^ e12 ^ e13 ^ e23) | (e01 & e02 & e03)
+    pick0 = e01 | e02 | e03
+    pick1 = _ref_widen((e12 | e13) & ~pick0)
+    pick0 = _ref_widen(pick0)
+    winner = (s0 & pick0) | (s1 & pick1) | (s2 & ~(pick0 | pick1))
+    return winner & _ref_widen(resolved), _REF_HIGH & ~resolved
+
+
+_S5A = SBoxTable(bytes(b ^ 0x5A for b in AES_SBOX.entries))
+
+
+def _lane_tables():
+    """(lanes, v, h) of the AES S-box and of S xor 0x5a, each with its
+    own parity tables."""
+    for table in (AES_SBOX, _S5A):
+        parity = build_redundant_tables(table)
+        yield (to_lanes(table.entries), to_lanes(parity.v),
+               to_lanes(parity.h))
+
+
+def _assert_votes_agree(lanes, v, h):
+    got = _vote(lanes, v, h)
+    assert got == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
+    return got
+
+
+def _no_lane_vote(lanes):
+    raise AssertionError("a one-entry pattern reached the lane vote")
+
+
+def test_one_entry_vote_is_closed_form(monkeypatch):
+    # Every (x, e) single fault on both tables: the vote equals the
+    # pairwise vote, writes e into lane x alone, and never reaches the
+    # pairwise comparisons (the first of which needs lanes_up).
+    monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
+    for lanes, v, h in _lane_tables():
+        for x in range(256):
+            for e in range(1, 256):
+                assert _assert_votes_agree(lanes ^ e << 8 * x, v, h) == \
+                    (e << 8 * x, 0)
+
+
+def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
+    monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    fixed, report = correct(faulted, tables, pair)
+    assert (fixed, report.converged) == (AES_SBOX, True)
+    assert precorrect_table(faulted, tables) == AES_SBOX
+
+
+def test_two_entries_with_one_error_match_the_lane_vote():
+    # A second entry with the same error within Manhattan distance 2
+    # shares an edge or a neighbour with the first: no one-entry
+    # signature, and the general vote decides.
+    offsets = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
+               if 0 < abs(dr) + abs(dc) <= 2]
+    for lanes, v, h in _lane_tables():
+        for x in range(256):
+            r, c = divmod(x, 16)
+            for dr, dc in offsets:
+                y = _torus(r + dr, c + dc)
+                for e in (0x01, 0x5A, 0xFF):
+                    _assert_votes_agree(
+                        lanes ^ e << 8 * x ^ e << 8 * y, v, h)
+
+
+def test_one_entry_signature_with_an_extra_failing_edge():
+    # Entry x faulted by e, plus one more failing edge anywhere, with
+    # the same syndrome e or another one (a faulted parity entry).
+    x = 0x42
+    for lanes, v, h in _lane_tables():
+        faulted = lanes ^ 0x37 << 8 * x
+        for y in range(256):
+            for f in (0x37, 0x01, 0xC8):
+                _assert_votes_agree(faulted, v ^ f << 8 * y, h)
+                _assert_votes_agree(faulted, v, h ^ f << 8 * y)
+
+
+def test_one_axis_signatures_match_the_lane_vote():
+    # Only the vertical, or only the horizontal, half of the signature:
+    # the entry's two edges on the other axis pass.
+    for lanes, v, h in _lane_tables():
+        for x in range(256):
+            for e in (0x01, 0x5A, 0xFF):
+                sv = e << 8 * x | e << 8 * up(x)
+                sh = e << 8 * x | e << 8 * left(x)
+                # Faulted parity alone, or an entry fault the other
+                # axis's parity cancels.
+                _assert_votes_agree(lanes, v ^ sv, h)
+                _assert_votes_agree(lanes, v, h ^ sh)
+                _assert_votes_agree(lanes ^ e << 8 * x, v, h ^ sh)
+                _assert_votes_agree(lanes ^ e << 8 * x, v ^ sv, h)
 
 
 def test_correct_single_fault_one_round(pair, tables):
