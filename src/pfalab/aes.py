@@ -9,11 +9,13 @@ read during encryption, not the key schedule computed beforehand.
 State layout follows the standard column-major convention: byte i of a
 block is state[row=i % 4, col=i // 4], i.e. flat index 4*c + r.
 
-The rounds are written once, as a kernel over a (16, n) state: row i
-holds byte i of every block, so ShiftRows and the rotations inside a
-column are row gathers.  encrypt_blocks/decrypt_blocks take (n, 16)
-arrays; encrypt/decrypt take one 16-byte ``bytes`` block and run as a
-one-row batch.  No other module sees the rounds: DMR and byte
+The rounds are written once, for both directions, as a kernel over a
+(16, n) state: row i holds byte i of every block, so ShiftRows and the
+rotations inside a column are row gathers.  Decryption runs the kernel
+as the equivalent inverse cipher of FIPS-197 section 5.3.5 (see
+_rounds).  encrypt_blocks/decrypt_blocks take (n, 16) arrays;
+encrypt/decrypt take one 16-byte ``bytes`` block and run as a one-row
+batch.  No other module sees the rounds: DMR and byte
 scrambling (pfalab.classic) are built on encrypt_blocks/decrypt_blocks.
 
 SubBytes reads two state bytes at once: the flat state, 16n bytes and
@@ -50,16 +52,15 @@ INV_SHIFT_ROWS_PERM = tuple(SHIFT_ROWS_PERM.index(i) for i in range(16))
 
 _SR_IDX = np.array(SHIFT_ROWS_PERM, dtype=np.intp)
 _INV_SR_IDX = np.array(INV_SHIFT_ROWS_PERM, dtype=np.intp)
+_IDENTITY = np.arange(BLOCK_SIZE, dtype=np.intp)
 
 # Row 4*c + r of s[_ROT] is row 4*c + (r + 1) % 4 of s: one step up its column.
 _ROT = np.array([4 * (i // 4) + (i + 1) % 4 for i in range(16)], dtype=np.intp)
 _ROT2 = _ROT[_ROT]
 # Index arrays are shared by every call: one stray write would change
 # every later encryption in the process.
-_SR_IDX.flags.writeable = False
-_INV_SR_IDX.flags.writeable = False
-_ROT.flags.writeable = False
-_ROT2.flags.writeable = False
+for _index in (_SR_IDX, _INV_SR_IDX, _IDENTITY, _ROT, _ROT2):
+    _index.flags.writeable = False
 
 
 def _pairs(lut: np.ndarray) -> np.ndarray:
@@ -208,13 +209,16 @@ def _round_keys_array(round_keys: list[bytes]) -> np.ndarray:
     return keys[:, :, None]
 
 
-_IDENTITY = np.arange(BLOCK_SIZE, dtype=np.intp)
-_IDENTITY.flags.writeable = False
-
-
-def _lut(table: SBoxTable) -> np.ndarray:
-    """The pair table of a substitution table."""
-    return _pairs(np.frombuffer(table.entries, dtype=np.uint8))
+def _inverse_round_keys(round_keys: list[bytes]) -> np.ndarray:
+    """The keys of the equivalent inverse cipher, as _round_keys_array
+    lays them out: the round keys reversed, with InvMixColumns applied
+    to the nine inner ones (a (16, 9) state)."""
+    keys = _round_keys_array(round_keys[::-1])
+    inner = _state(keys[1:NUM_ROUNDS, :, 0])
+    out, a, idx = _scratch(inner)
+    _inv_mix_columns(inner, out, a, idx)
+    keys[1:NUM_ROUNDS, :, 0] = out.T
+    return keys
 
 
 def _state(blocks: np.ndarray) -> np.ndarray:
@@ -241,25 +245,28 @@ def _scratch(state):
             np.empty(state.size // 2, dtype=np.intp))
 
 
-def _encrypt(plaintexts, round_keys, table, shift_rows, sink=None):
-    """All NUM_ROUNDS rounds: (n, 16) uint8 in, (n, 16) ciphertexts out.
+def _rounds(blocks, keys, table, shift, mix):
+    """All NUM_ROUNDS rounds: (n, 16) uint8 in, (n, 16) uint8 out.
 
-    sink, when given a list, receives a copy of every round's SubBytes
-    input as a (16, n) state.
+    keys[0] is added first; then each round is SubBytes with table, the
+    row permutation shift, mix in every round but the last, and the next
+    key.  With the forward table, ShiftRows and MixColumns this is the
+    cipher.  With the inverse table, InvShiftRows, InvMixColumns and
+    _inverse_round_keys it is the equivalent inverse cipher (FIPS-197
+    section 5.3.5), which equals the inverse cipher for every table,
+    faulted and without ShiftRows included: a byte permutation commutes
+    with any byte substitution, and InvMixColumns is linear, so
+    InvMixColumns(s ^ k) = InvMixColumns(s) ^ InvMixColumns(k).
     """
-    keys = _round_keys_array(round_keys)
-    lut = _lut(table)
-    shift = _SR_IDX if shift_rows else _IDENTITY
-    state = _state(plaintexts)
+    lut = _pairs(np.frombuffer(table.entries, dtype=np.uint8))
+    state = _state(blocks)
     state ^= keys[0]
     s, a, idx = _scratch(state)
     for rnd in range(1, NUM_ROUNDS + 1):
-        if sink is not None:
-            sink.append(state.copy())
         _sub(lut, state, state, idx)
         _permute_rows(state, shift, s)
         if rnd < NUM_ROUNDS:
-            _mix_columns(s, state, a, idx)
+            mix(s, state, a, idx)
         else:
             state, s = s, state
         state ^= keys[rnd]
@@ -282,7 +289,8 @@ def encrypt_blocks(
     identity: that leaves the per-byte lookup statistics the attack
     relies on alone and isolates the substitution layer in experiments.
     """
-    return _encrypt(plaintexts, round_keys, table, shift_rows)
+    return _rounds(plaintexts, _round_keys_array(round_keys), table,
+                   _SR_IDX if shift_rows else _IDENTITY, _mix_columns)
 
 
 def decrypt_blocks(
@@ -292,20 +300,9 @@ def decrypt_blocks(
     *,
     shift_rows: bool = True,
 ) -> np.ndarray:
-    keys = _round_keys_array(round_keys)
-    lut = _lut(inv_table)
-    shift = _INV_SR_IDX if shift_rows else _IDENTITY
-    state = _state(ciphertexts)
-    state ^= keys[NUM_ROUNDS]
-    s, a, idx = _scratch(state)
-    for rnd in range(NUM_ROUNDS - 1, -1, -1):
-        _permute_rows(state, shift, s)
-        _sub(lut, s, state, idx)
-        state ^= keys[rnd]
-        if rnd:
-            _inv_mix_columns(state, s, a, idx)
-            state, s = s, state
-    return _blocks(state)
+    return _rounds(ciphertexts, _inverse_round_keys(round_keys), inv_table,
+                   _INV_SR_IDX if shift_rows else _IDENTITY,
+                   _inv_mix_columns)
 
 
 def encrypt(
@@ -314,19 +311,10 @@ def encrypt(
     table: SBoxTable = AES_SBOX,
     *,
     shift_rows: bool = True,
-    trace: set[int] | None = None,
 ) -> bytes:
-    """Encrypt one block with the given (possibly faulted) table.
-
-    trace, when given a set, collects every table index read during this
-    encryption.
-    """
-    sink: list[np.ndarray] | None = None if trace is None else []
-    ciphertext = _encrypt(_row(plaintext), round_keys, table, shift_rows,
-                          sink)
-    if sink is not None:
-        trace.update(np.concatenate(sink).tobytes())
-    return ciphertext[0].tobytes()
+    """Encrypt one block with the given (possibly faulted) table."""
+    return encrypt_blocks(_row(plaintext), round_keys, table,
+                          shift_rows=shift_rows)[0].tobytes()
 
 
 def decrypt(

@@ -236,6 +236,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ from .guard import (
     detect,
     precorrect_table,
 )
-from .rng import RNG_ALGORITHM, Rng, derive_seed
+from .rng import MASK64, RNG_ALGORITHM, Rng, derive_seed
 from .sbox import AES_INV_SBOX, AES_SBOX
 from .sbox_analysis import build_detection_pair, build_redundant_tables
 
@@ -127,6 +127,10 @@ class ExperimentConfig:
                      "curve_grid"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an int")
+        # Rng keeps a seed mod 2**64: a seed outside the range would
+        # name the experiment of another seed.
+        if not 0 <= self.seed <= MASK64:
+            raise ConfigError("seed must be in 0..2**64-1")
         if not 1 <= self.n_faults <= 255:
             raise ConfigError("n_faults must be in 1..255")
         if self.n_ciphertexts < 1:

@@ -173,6 +173,30 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_run_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
+    # Rng keeps a seed mod 2**64, so -1 would draw the keys of 2**64 - 1.
+    out = tmp_path / "run"
+    assert main(["run", "--impl", "ori", "--seed", seed, "--trials", "1",
+                 "--n", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be in 0..2**64-1\n"
+    assert not out.exists()
+    for bound in (0, (1 << 64) - 1):
+        assert ExperimentConfig(implementation="ori", seed=bound).seed == bound
+
+
+def test_run_reports_memory_error_in_one_line(tmp_path, capsys, monkeypatch):
+    def run_experiment(config):
+        raise MemoryError("Unable to allocate 146. TiB")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["run", "--impl", "ori", "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "error: out of memory: Unable to allocate 146. TiB\n"
+
+
 def test_attack_with_known_hypothesis(stream_file, tmp_path, capsys):
     path, k10 = stream_file
     out = tmp_path / "attack.json"
