@@ -1,5 +1,5 @@
 import hashlib
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -92,21 +92,40 @@ def test_shift_rows_permutation_shape():
     assert sorted(SHIFT_ROWS_PERM) == list(range(16))
 
 
-def test_flipped_entry_changes_ciphertext_iff_the_vector_reads_it():
-    # The 160 lookups of the FIPS-197 B vector hit 119 distinct entries.
-    # Flipping one of them, by either mask, changes the ciphertext, and
-    # flipping any of the other 137 never does.  The digest pins the
-    # sorted set, recorded from a kernel that listed the indices it read.
+@cache
+def _entries_that_change_fips_ct(flip):
+    # The table entries whose flip by `flip` changes the FIPS-197 B
+    # ciphertext, found by trying every entry in turn.
     rk = key_expand(FIPS_KEY)
-    changed = [
-        {x for x in range(256)
-         if encrypt(FIPS_PT, rk, AES_SBOX.with_entry(x, AES_SBOX[x] ^ flip))
-         != FIPS_CT}
-        for flip in (0x01, 0xFF)]
-    assert changed[0] == changed[1]
-    assert len(changed[0]) == 119
-    assert hashlib.sha256(bytes(sorted(changed[0]))).hexdigest() == \
+    return frozenset(
+        x for x in range(256)
+        if encrypt(FIPS_PT, rk, AES_SBOX.with_entry(x, AES_SBOX[x] ^ flip))
+        != FIPS_CT)
+
+
+def test_trace_collects_table_indices():
+    # The 160 lookups of the FIPS-197 B vector hit 119 distinct entries.
+    # The digest pins the sorted set, recorded from a kernel that listed
+    # the indices it read.
+    read = _entries_that_change_fips_ct(0x01)
+    assert read <= set(range(256))
+    assert len(read) == 119
+    assert hashlib.sha256(bytes(sorted(read))).hexdigest() == \
         "6e449a43ca6c9cac8640998501953b75abd8db442da342a47b8c067063ed885e"
+
+
+def test_encryption_with_modified_table_differs():
+    # Every entry the vector reads changes the ciphertext under either mask.
+    assert _entries_that_change_fips_ct(0x01) <= \
+        _entries_that_change_fips_ct(0xFF)
+
+
+def test_untouched_entry_leaves_ciphertext_alone():
+    # None of the 137 entries the vector never reads changes it.
+    read = _entries_that_change_fips_ct(0x01)
+    untouched = set(range(256)) - read
+    assert untouched, "vector unexpectedly touches all 256 entries"
+    assert not untouched & _entries_that_change_fips_ct(0xFF)
 
 
 def test_batched_matches_scalar():
