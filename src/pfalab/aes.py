@@ -13,10 +13,10 @@ The rounds are written once, for both directions, as a kernel over a
 (16, n) state: row i holds byte i of every block, so ShiftRows and the
 rotations inside a column are row gathers.  Decryption runs the kernel
 as the equivalent inverse cipher of FIPS-197 section 5.3.5 (see
-_rounds).  encrypt_blocks/decrypt_blocks take (n, 16) arrays;
-encrypt/decrypt take one 16-byte ``bytes`` block and run as a one-row
-batch.  No other module sees the rounds: DMR and byte
-scrambling (pfalab.classic) are built on encrypt_blocks/decrypt_blocks.
+_rounds).  encrypt_blocks/decrypt_blocks take (n, 16) arrays; encrypt
+takes one 16-byte ``bytes`` block and runs as a one-row batch.  No other
+module sees the rounds: DMR and byte scrambling (pfalab.classic) are
+built on encrypt_blocks/decrypt_blocks.
 
 SubBytes reads two state bytes at once: the flat state, 16n bytes and
 so always of even length, is viewed as 8n uint16 words and gathered
@@ -316,16 +316,3 @@ def encrypt(
     return encrypt_blocks(_row(plaintext), round_keys, table,
                           shift_rows=shift_rows)[0].tobytes()
 
-
-def decrypt(
-    ciphertext: bytes,
-    round_keys: list[bytes],
-    inv_table: SBoxTable = AES_INV_SBOX,
-    *,
-    shift_rows: bool = True,
-) -> bytes:
-    """Decrypt one block.  inv_table plays the role the inverse table
-    would play in a device's decryption module and may be faulted
-    independently of the forward table."""
-    return decrypt_blocks(_row(ciphertext), round_keys, inv_table,
-                          shift_rows=shift_rows)[0].tobytes()

@@ -5,15 +5,12 @@ never takes the value S[v] and takes the duplicated value e* twice as
 often.  Per ciphertext byte position j this shifts the value histogram:
 c = S[v] XOR k_j has probability 0, c = e* XOR k_j has 2/256, the rest
 stay at 1/256.  The attacker therefore recovers k_j from the value that
-never appears (and cross-checks against the most frequent one), needing
-nothing but ciphertexts.
+never appears, needing nothing but ciphertexts.
 
 Recovery is gated on the zero structure: a byte is reported only once
-its position shows exactly one never-seen value.  The most-frequent
-value check and the count gap are tracked as confidence metadata, not
-as gates; at realistic sample sizes the maximum fluctuates long after
-the unique zero has stabilized, while on a healthy (corrected) stream
-the unique-zero gate virtually never fires at all.
+its position shows exactly one never-seen value.  The count gap is
+tracked as confidence metadata, not as a gate; on a healthy (corrected)
+stream the unique-zero gate virtually never fires at all.
 
 Streams are (n, 16) uint8 arrays throughout; the histogram counts one
 byte position of a whole stream per pass.  S is the AES S-box: the
@@ -72,21 +69,17 @@ class KeyRecoveryResult:
     """Per-position recovery state for the round-10 key.
 
     recovered holds a byte only where the position's zero structure is
-    unambiguous; candidate_sets always carries both estimates
-    {c_min XOR S[v], c_max XOR S[v*]} (collapsed to one element when the
-    two agree).  confidence is the second-smallest count per position,
+    unambiguous.  confidence is the second-smallest count per position,
     the gap that must open above the missing value before the recovery
-    deserves trust; confident applies the configured threshold and
-    additionally requires the unique zero.
+    deserves trust; confident applies the gap threshold and additionally
+    requires the unique zero.
     """
 
     recovered: tuple
-    candidate_sets: tuple
     v: int
     v_star: int
     confidence: tuple
     confident: tuple
-    gap_threshold: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,16 +103,13 @@ def recover_key_maxmin(
     v_star: int,
     gap_threshold: int = GAP_THRESHOLD,
 ) -> KeyRecoveryResult:
-    """Recover round-10 key bytes from the histogram's extremes.
+    """Recover round-10 key bytes from the histogram's zeros.
 
-    c_min and c_max are the least/most frequent values per position,
-    ties broken toward the smaller value.  A key byte is reported when
-    the position has exactly one zero-count value: that value must be
-    S[v] XOR k_j, so k_j = c_min XOR S[v].  The c_max cross-check
-    (k_j = c_max XOR S[v*]) is recorded in candidate_sets
-    but does not gate the report: on a genuinely faulted stream the
-    unique zero identifies the key long before the maximum separates
-    from the pack, and on a uniform stream the zero gate stays shut.
+    c_min is the least frequent value per position, ties broken toward
+    the smaller value.  A key byte is reported when the position has
+    exactly one zero-count value: that value must be S[v] XOR k_j, so
+    k_j = c_min XOR S[v].  v_star names the duplicated value's index; it
+    is checked and reported, and does not enter the recovery.
     """
     _check_indices(v=v, v_star=v_star)
     if v == v_star:
@@ -130,26 +120,17 @@ def recover_key_maxmin(
                          f"got {gap_threshold!r}")
     counts = hist.counts
     c_min = counts.argmin(axis=1).tolist()
-    c_max = counts.argmax(axis=1).tolist()
     zeros = np.count_nonzero(counts == 0, axis=1).tolist()
     confidence = np.partition(counts, 1, axis=1)[:, 1].tolist()
-    s_v, s_v_star = AES_SBOX[v], AES_SBOX[v_star]
-    recovered = []
-    candidate_sets = []
-    confident = []
-    for low, high, n_zeros, gap in zip(c_min, c_max, zeros, confidence):
-        k1 = low ^ s_v
-        recovered.append(k1 if n_zeros == 1 else None)
-        candidate_sets.append(frozenset({k1, high ^ s_v_star}))
-        confident.append(n_zeros == 1 and gap >= gap_threshold)
+    s_v = AES_SBOX[v]
     return KeyRecoveryResult(
-        recovered=tuple(recovered),
-        candidate_sets=tuple(candidate_sets),
+        recovered=tuple(low ^ s_v if n_zeros == 1 else None
+                        for low, n_zeros in zip(c_min, zeros)),
         v=v,
         v_star=v_star,
         confidence=tuple(confidence),
-        confident=tuple(confident),
-        gap_threshold=gap_threshold,
+        confident=tuple(n_zeros == 1 and gap >= gap_threshold
+                        for n_zeros, gap in zip(zeros, confidence)),
     )
 
 

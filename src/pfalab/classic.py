@@ -4,7 +4,12 @@ Dual modular redundancy runs the cipher twice.  REDMR compares the two
 ciphertexts; IDDMR decrypts module 1's ciphertext with the pristine
 inverse table and compares against the plaintext.  On mismatch one of
 three defenses fires: suppress the output (NCO), emit sixteen zero
-bytes (ZCO), or emit random bytes (RCO).
+bytes (ZCO), or emit random bytes (RCO).  The modelled fault never
+reaches the inverse table, and the pristine decryption D is a
+bijection, so D(c1) = p exactly when c1 is the pristine encryption of
+p: IDDMR flags the blocks that REDMR flags with only module 1 faulted.
+Under this model the two modes emit the same stream and differ only in
+cost.
 
 Byte scrambling runs two full encryption paths A and B and, in the last
 round's ShiftRows, routes each shifted byte from the other path when

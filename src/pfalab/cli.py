@@ -116,6 +116,10 @@ def _cmd_attack(args) -> int:
     if args.search:
         if args.v is not None or args.v_star is not None:
             raise ValueError("--search excludes --v/--v-star")
+        if args.true_k10 is not None:
+            # The search knows v only up to its class, so a count scored
+            # against its v would miss a key that the stream recovers.
+            raise ValueError("--true-k10 needs --v/--v-star, not --search")
     elif args.v is None or args.v_star is None:
         raise ValueError("give either --search or both --v and --v-star")
     if args.gap_threshold < 1:
@@ -142,7 +146,7 @@ def _cmd_attack(args) -> int:
                                   gap_threshold=args.gap_threshold)
     output.update(recovery.to_json_dict())
     output["confident"] = list(recovery.confident)
-    output["gap_threshold"] = recovery.gap_threshold
+    output["gap_threshold"] = args.gap_threshold
     if args.true_k10 is not None:
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
             stream, block_from_hex(args.true_k10), v, kept=kept)
@@ -215,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--zco-filter", action="store_true",
                         help="drop all-zero blocks from the histogram")
     attack.add_argument("--true-k10",
-                        help="known round-10 key, for the minimum count")
+                        help="known round-10 key, for the minimum count "
+                        "(needs --v/--v-star)")
     attack.add_argument("--gap-threshold", type=int, default=GAP_THRESHOLD)
     attack.add_argument("--hist-out", help="write histogram CSV here")
     attack.add_argument("--out", help="write JSON here instead of stdout")

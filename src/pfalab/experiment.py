@@ -393,38 +393,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=config, records=records)
 
 
-def _per_implementation(records):
-    """Yield (implementation, records, stats, not-reached fraction) per
-    implementation in first-seen order.
+def _summary(records):
+    """(stats, not-reached fraction) of one run's records.
 
     stats are the min, median and p90 (the value at rank ceil(0.9 n)) of
     the minimum counts of the trials that reached recovery, or None when
     no trial did.
     """
-    groups: dict = {}
-    for record in records:
-        groups.setdefault(record["implementation"], []).append(record)
-    for impl, recs in groups.items():
-        reached = sorted(r["min_ciphertexts"] for r in recs
-                         if r["min_ciphertexts"] is not None)
-        stats = None
-        if reached:
-            stats = (reached[0], statistics.median(reached),
-                     reached[math.ceil(0.9 * len(reached)) - 1])
-        yield impl, recs, stats, (len(recs) - len(reached)) / len(recs)
+    reached = sorted(r["min_ciphertexts"] for r in records
+                     if r["min_ciphertexts"] is not None)
+    stats = None
+    if reached:
+        stats = (reached[0], statistics.median(reached),
+                 reached[math.ceil(0.9 * len(reached)) - 1])
+    return stats, (len(records) - len(reached)) / len(records)
 
 
 def emit_table3(records) -> str:
-    """Minimum-ciphertext summary, one row per implementation.
+    """Minimum-ciphertext summary of one run's records: a header and one
+    row, named after the run's implementation.
 
     not_reached_fraction counts the trials that never reached recovery;
-    implementations with no reached trial get NA statistics.
+    a run with no reached trial gets NA statistics.
     """
-    lines = ["implementation,min,median,p90,not_reached_fraction"]
-    for impl, _, stats, fraction in _per_implementation(records):
-        low, mid, p90 = stats or ("NA",) * 3
-        lines.append(f"{impl},{low},{mid},{p90},{fraction}")
-    return "\n".join(lines) + "\n"
+    stats, fraction = _summary(records)
+    low, mid, p90 = stats or ("NA",) * 3
+    return ("implementation,min,median,p90,not_reached_fraction\n"
+            f"{records[0]['implementation']},{low},{mid},{p90},{fraction}\n")
 
 
 _CURVES_HEADER = "trial,position,value,n,probability\n"
@@ -472,17 +467,16 @@ def _curve_blocks(curves: Curves, trial: int):
 
 
 def summarize(records) -> str:
-    """Human-readable per-implementation digest of a record list."""
-    lines = []
-    for impl, recs, stats, fraction in _per_implementation(records):
-        full = sum(1 for r in recs if r["full_recovery"])
-        parts = [f"{impl}: trials={len(recs)}", f"full_recovery={full}"]
-        if stats:
-            parts += (f"{name}={value}" for name, value
-                      in zip(("min", "median", "p90"), stats))
-        parts.append(f"not_reached={fraction}")
-        lines.append("  ".join(parts))
-    return "\n".join(lines) + "\n"
+    """Human-readable one-line digest of one run's records."""
+    stats, fraction = _summary(records)
+    full = sum(1 for r in records if r["full_recovery"])
+    parts = [f"{records[0]['implementation']}: trials={len(records)}",
+             f"full_recovery={full}"]
+    if stats:
+        parts += (f"{name}={value}" for name, value
+                  in zip(("min", "median", "p90"), stats))
+    parts.append(f"not_reached={fraction}")
+    return "  ".join(parts) + "\n"
 
 
 def _canonical_json(data) -> str:

@@ -137,7 +137,7 @@ def _clustered_indices(rng: Rng, n_faults: int) -> list[int]:
 
 
 def random_faults(
-    rng: Rng | int,
+    rng: Rng,
     n_faults: int,
     placement: str = SCATTERED,
     value_policy: str = RANDOM_BYTE,
@@ -151,8 +151,6 @@ def random_faults(
     rather than accidental clusters.  Clustered placement models a
     localised corruption (one damaged memory row or block).
     """
-    if isinstance(rng, int):
-        rng = Rng(rng)
     if not 1 <= n_faults <= 255:
         raise ValueError("n_faults must be in 1..255")
     if placement == SCATTERED:

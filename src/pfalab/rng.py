@@ -63,14 +63,6 @@ class Rng:
         self.seed = seed & MASK64
         self._used = 0
 
-    def child(self, *labels: object) -> "Rng":
-        """Independent generator for a labelled sub-task.
-
-        Derived from the constructor seed, not the current state, so the
-        substream does not depend on how much this generator has drawn.
-        """
-        return Rng(derive_seed(self.seed, *labels))
-
     def _words(self, n: int) -> np.ndarray:
         """The next n words, as u64() would give them, in one array."""
         z = np.arange(self._used + 1, self._used + n + 1, dtype=np.uint64)

@@ -37,12 +37,6 @@ class SBoxTable:
     def __getitem__(self, x: int) -> int:
         return self.entries[x]
 
-    def __len__(self) -> int:
-        return 256
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, SBoxTable):
             return self.entries == other.entries
@@ -64,14 +58,6 @@ class SBoxTable:
         for x, y in enumerate(self.entries):
             inv[y] = x
         return SBoxTable(inv)
-
-    def with_entry(self, x: int, value: int) -> "SBoxTable":
-        """Copy of this table with entry x overwritten."""
-        if not (0 <= x <= 255 and 0 <= value <= 255):
-            raise ValueError(f"entry ({x}, {value}) out of byte range")
-        data = bytearray(self.entries)
-        data[x] = value
-        return SBoxTable(data)
 
     def differences(self, other: "SBoxTable") -> list[int]:
         """Indices where the two tables disagree."""

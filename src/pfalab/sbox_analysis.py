@@ -58,9 +58,6 @@ class CycleDecomposition:
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
 
-    def __len__(self) -> int:
-        return len(self.cycles)
-
 
 def cycle_decompose(table: SBoxTable) -> CycleDecomposition:
     if not table.is_permutation():

@@ -5,6 +5,8 @@ from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
 from pfalab.sbox_analysis import build_detection_pair, build_redundant_tables
 
+from helpers import with_entry
+
 
 @pytest.fixture(scope="session")
 def pair():
@@ -27,8 +29,9 @@ def faulted_cases():
         block = rng.randbytes(16)
         table, inv_table = AES_SBOX, AES_INV_SBOX
         for _ in range(3):
-            table = table.with_entry(rng.randrange(256), rng.randrange(256))
-            inv_table = inv_table.with_entry(rng.randrange(256),
-                                             rng.randrange(256))
+            table = with_entry(table, rng.randrange(256),
+                               rng.randrange(256))
+            inv_table = with_entry(inv_table, rng.randrange(256),
+                                   rng.randrange(256))
         cases.append((i, rk, block, table, inv_table))
     return cases

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from pfalab.classic import (
 from pfalab.faults import FaultSpec, inject, random_faults
 from pfalab.rng import Rng
 from pfalab.sbox import AES_SBOX, SBoxTable
+
+from helpers import with_entry
 
 
 def fresh_material(seed):
@@ -107,14 +110,28 @@ def test_redmr_shared_fault_never_fires():
 
 
 def test_iddmr_agrees_with_redmr_module_one():
+    # IDDMR's pristine decryption inverts exactly the pristine encryption
+    # of REDMR's module 2, and the fault never reaches the inverse table,
+    # so IDDMR under either scope emits REDMR's module-one stream.
     rng, _, rk = fresh_material(24)
-    faulted = inject(AES_SBOX, FaultSpec(((0x13, 0x37),)))
     pts = blocks(rng, 200)
-    masks = [dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted,
-                                DmrConfig(mode=mode,
-                                          fault_scope=MODULE_ONE_ONLY))[1]
-             for mode in (REDMR, IDDMR)]
-    assert (masks[0] == masks[1]).all()
+    specs = [FaultSpec(((0x13, 0x37),))]
+    specs += [random_faults(Rng(seed), 1 + seed % 3) for seed in range(9)]
+    for spec, defense, shift_rows in product(specs, (NCO, ZCO, RCO),
+                                             (True, False)):
+        faulted = inject(AES_SBOX, spec)
+
+        def emit(mode, scope):
+            return dmr_encrypt_blocks(pts, rk, AES_SBOX, faulted,
+                                      DmrConfig(mode, defense, scope),
+                                      rng=Rng(1), shift_rows=shift_rows)
+
+        want, want_mask = emit(REDMR, MODULE_ONE_ONLY)
+        assert want_mask.any() and not want_mask.all()
+        for scope in (MODULE_ONE_ONLY, SHARED):
+            out, mask = emit(IDDMR, scope)
+            assert (mask == want_mask).all()
+            assert (out == want).all()
 
 
 def test_defenses_share_the_mismatch_predicate():
@@ -175,7 +192,7 @@ def test_bs_pristine_paths_match_plain_encryption():
 def test_bs_shared_fault_equals_plain_faulted_encryption():
     rng, _, rk = fresh_material(29)
     for trial in range(100):
-        spec = random_faults(trial, 1)
+        spec = random_faults(Rng(trial), 1)
         faulted = inject(AES_SBOX, spec)
         pts = blocks(rng, 3)
         assert (bs_encrypt_blocks(pts, rk, faulted, faulted)
@@ -278,7 +295,7 @@ def test_bs_without_shiftrows_still_pairs_up():
 # faulted.
 FIPS_KEY = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_PT = block_from_hex("3243f6a8885a308d313198a2e0370734")
-FAULTED_00 = AES_SBOX.with_entry(0x00, 0x00)
+FAULTED_00 = with_entry(AES_SBOX, 0x00, 0x00)
 
 
 def test_bs_golden_pairs():

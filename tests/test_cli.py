@@ -237,6 +237,19 @@ def test_attack_argument_errors(stream_file, capsys):
     capsys.readouterr()
 
 
+def test_attack_search_refuses_a_true_key(tmp_path, capsys):
+    # The search knows v only up to its class, so a minimum count scored
+    # against v = 0 would read null on a stream that recovers.  The
+    # combination is refused before the file is read.
+    missing = tmp_path / "missing.txt"
+    argv = ["attack", str(missing), "--search", "--true-k10", "00" * 16]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --true-k10 needs --v/--v-star, "
+                            "not --search\n")
+
+
 # The last two texts' hex bytes are not a whole number of blocks.  hex()
 # counts its separators from the right, so a short first line would read
 # back as one block per line were the length left unchecked.

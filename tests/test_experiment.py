@@ -372,12 +372,11 @@ def test_table3_statistics_and_na():
     def rec(impl, value):
         return {"implementation": impl, "min_ciphertexts": value}
 
-    rows = [rec("ori", 20), rec("ori", 10), rec("ori", None), rec("ori", 30),
-            rec("dmr", None), rec("dmr", None)]
-    lines = emit_table3(rows).strip().splitlines()
-    assert lines[0] == "implementation,min,median,p90,not_reached_fraction"
-    assert lines[1] == "ori,10,20,30,0.25"
-    assert lines[2] == "dmr,NA,NA,NA,1.0"
+    header = "implementation,min,median,p90,not_reached_fraction\n"
+    ori = [rec("ori", 20), rec("ori", 10), rec("ori", None), rec("ori", 30)]
+    assert emit_table3(ori) == header + "ori,10,20,30,0.25\n"
+    dmr = [rec("dmr", None), rec("dmr", None)]
+    assert emit_table3(dmr) == header + "dmr,NA,NA,NA,1.0\n"
 
 
 def test_dmr_defenses_shape_the_emitted_stream():

@@ -114,7 +114,7 @@ def test_classify_is_translation_invariant():
 
 def test_random_faults_scattered_is_best_case():
     for seed in range(60):
-        spec = random_faults(seed, 3, placement=SCATTERED)
+        spec = random_faults(Rng(seed), 3, placement=SCATTERED)
         assert classify_case(spec) == BEST
         assert len(spec) == 3
         assert len(set(spec.indices)) == 3
@@ -123,17 +123,17 @@ def test_random_faults_scattered_is_best_case():
 
 
 def test_random_faults_clustered_shapes():
-    spec4 = random_faults(5, 4, placement=CLUSTERED)
+    spec4 = random_faults(Rng(5), 4, placement=CLUSTERED)
     rows = sorted({x // 16 for x in spec4.indices})
     cols = sorted({x % 16 for x in spec4.indices})
     assert len(spec4) == 4
     assert len(rows) == 2 and len(cols) == 2
 
-    spec9 = random_faults(6, 9, placement=CLUSTERED)
+    spec9 = random_faults(Rng(6), 9, placement=CLUSTERED)
     assert classify_case(spec9) == WORST
     assert len({x // 16 for x in spec9.indices}) == 3
 
-    spec8 = random_faults(7, 8, placement=CLUSTERED)
+    spec8 = random_faults(Rng(7), 8, placement=CLUSTERED)
     assert classify_case(spec8) == WORST
     # The eight cells ring a pristine center.
     cells = set(spec8.indices)
@@ -150,7 +150,7 @@ def test_random_faults_clustered_shapes():
 
 def test_random_faults_bit_flip_policy():
     for seed in range(40):
-        spec = random_faults(seed, 2, value_policy=BIT_FLIP)
+        spec = random_faults(Rng(seed), 2, value_policy=BIT_FLIP)
         for x, value in spec.faults:
             diff = value ^ AES_SBOX[x]
             assert diff != 0 and diff & (diff - 1) == 0
@@ -164,11 +164,11 @@ def test_random_faults_accepts_rng_instance():
 
 def test_scattered_infeasible_raises():
     with pytest.raises(PlacementInfeasible):
-        random_faults(1, 200, placement=SCATTERED, max_tries=30)
+        random_faults(Rng(1), 200, placement=SCATTERED, max_tries=30)
 
 
 def test_fault_count_bounds():
     with pytest.raises(ValueError):
-        random_faults(1, 0)
+        random_faults(Rng(1), 0)
     with pytest.raises(ValueError):
-        random_faults(1, 256)
+        random_faults(Rng(1), 256)

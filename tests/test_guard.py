@@ -21,7 +21,7 @@ from pfalab.guard import (
     detect,
     precorrect_table,
 )
-from pfalab.rng import Rng
+from pfalab.rng import Rng, derive_seed
 from pfalab.sbox import (
     AES_SBOX,
     SBoxTable,
@@ -45,7 +45,7 @@ def test_detect_pristine_table_is_quiet(pair):
 def test_detect_sampled_single_faults(pair):
     rng = Rng(11)
     for _ in range(300):
-        spec = random_faults(rng.child(rng.u64()), 1)
+        spec = random_faults(Rng(derive_seed(rng.seed, rng.u64())), 1)
         assert detect(inject(AES_SBOX, spec), pair) is True
 
 
@@ -281,7 +281,7 @@ def test_sweep_never_corrupts_best_case(pair, tables):
     # sound, so correction touches only the faulted cells.
     rng = Rng(14)
     for _ in range(100):
-        spec = random_faults(rng.child(rng.u64()), 3)
+        spec = random_faults(Rng(derive_seed(rng.seed, rng.u64())), 3)
         faulted = inject(AES_SBOX, spec)
         fixed, report = correct(faulted, tables, pair)
         assert fixed == AES_SBOX
@@ -323,7 +323,7 @@ def test_precorrect_table_equivalence(pair, tables):
     v = np.frombuffer(tables.v, dtype=np.uint8)
     rng = Rng(15)
     for _ in range(100):
-        spec = random_faults(rng.child(rng.u64()), 2)
+        spec = random_faults(Rng(derive_seed(rng.seed, rng.u64())), 2)
         faulted = inject(AES_SBOX, spec)
         effective = precorrect_table(faulted, tables)
         assert effective == AES_SBOX
@@ -405,8 +405,8 @@ def _oracle_cases():
         for i in range(40):
             if i % 2:
                 policy = (RANDOM_BYTE, BIT_FLIP)[i // 2 % 2]
-                spec = random_faults(rng.child(rng.u64()), k, CLUSTERED,
-                                     policy)
+                fault_rng = Rng(derive_seed(rng.seed, rng.u64()))
+                spec = random_faults(fault_rng, k, CLUSTERED, policy)
             else:
                 spec = FaultSpec(tuple(
                     (x, AES_SBOX[x] ^ (1 + rng.randrange(255)))

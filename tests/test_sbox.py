@@ -18,6 +18,8 @@ from pfalab.sbox import (
 )
 from pfalab.rng import Rng
 
+from helpers import with_entry
+
 
 def test_standard_table_known_entries():
     assert AES_SBOX[0x00] == 0x63
@@ -41,7 +43,7 @@ def test_identity_table():
 
 
 def test_rejects_non_permutation_inverse():
-    broken = AES_SBOX.with_entry(0, AES_SBOX[1])
+    broken = with_entry(AES_SBOX, 0, AES_SBOX[1])
     assert not broken.is_permutation()
     with pytest.raises(NotAPermutation):
         broken.inverse()
@@ -53,14 +55,14 @@ def test_table_is_immutable():
 
 
 def test_with_entry_returns_new_table():
-    modified = AES_SBOX.with_entry(0x10, 0x00)
+    modified = with_entry(AES_SBOX, 0x10, 0x00)
     assert modified[0x10] == 0x00
     assert AES_SBOX[0x10] == 0xCA
     assert modified != AES_SBOX
     with pytest.raises(ValueError):
-        AES_SBOX.with_entry(256, 0)
+        with_entry(AES_SBOX, 256, 0)
     with pytest.raises(ValueError):
-        AES_SBOX.with_entry(0, 300)
+        with_entry(AES_SBOX, 0, 300)
 
 
 def test_equality_and_hash():
@@ -71,7 +73,7 @@ def test_equality_and_hash():
 
 
 def test_differences():
-    modified = AES_SBOX.with_entry(5, 0).with_entry(250, 1)
+    modified = with_entry(with_entry(AES_SBOX, 5, 0), 250, 1)
     assert AES_SBOX.differences(modified) == [5, 250]
     assert AES_SBOX.differences(AES_SBOX) == []
 

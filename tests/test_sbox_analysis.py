@@ -26,7 +26,6 @@ def random_permutation_table(seed: int) -> SBoxTable:
 def test_standard_cycle_structure():
     dec = cycle_decompose(AES_SBOX)
     assert dec.lengths == (59, 81, 87, 27, 2)
-    assert len(dec) == 5
     assert sorted(dec.cycles[4]) == [0x73, 0x8F]
 
 
