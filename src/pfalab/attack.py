@@ -12,9 +12,11 @@ its position shows exactly one never-seen value.  The count gap is
 tracked as confidence metadata, not as a gate; on a healthy (corrected)
 stream the unique-zero gate virtually never fires at all.
 
-Streams are (n, 16) uint8 arrays throughout; the histogram counts one
-byte position of a whole stream per pass.  S is the AES S-box: the
-attacker knows the table the device was built with.
+Streams are (n, 16) uint8 arrays throughout.  The histogram is a plain
+(16, 256) int64 count array, one bincount per byte position: the counts
+of consecutive chunks add up, and a record's stored counts can be
+re-scored.  S is the AES S-box: the attacker knows the table the device
+was built with.
 """
 
 from __future__ import annotations
@@ -33,35 +35,22 @@ GAP_THRESHOLD = 5
 INCONCLUSIVE_BELOW = 12
 
 
-class CiphertextHistogram:
-    """Per-position counts of ciphertext byte values."""
-
-    __slots__ = ("counts", "n")
-
-    def __init__(self):
-        self.counts = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
-        self.n = 0
-
-    def add_blocks(self, blocks: np.ndarray) -> None:
-        """Accumulate an (n, 16) uint8 array in one pass."""
-        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
-            raise ValueError("expected an (n, 16) array of blocks")
-        for j in range(BLOCK_SIZE):
-            self.counts[j] += np.bincount(blocks[:, j], minlength=256)
-        self.n += blocks.shape[0]
-
-    def to_csv(self) -> str:
-        lines = ["position,value,count"]
-        lines.extend(f"{p},{v},{self.counts[p, v]}"
-                     for p in range(BLOCK_SIZE) for v in range(256))
-        return "\n".join(lines) + "\n"
+def accumulate(ciphertexts: np.ndarray) -> np.ndarray:
+    """Per-position value counts of an (n, 16) uint8 ciphertext stream:
+    a (16, 256) int64 array whose [j, c] counts the blocks with byte c
+    at position j."""
+    if ciphertexts.ndim != 2 or ciphertexts.shape[1] != BLOCK_SIZE:
+        raise ValueError("expected an (n, 16) array of blocks")
+    return np.stack([np.bincount(ciphertexts[:, j], minlength=256)
+                     for j in range(BLOCK_SIZE)], dtype=np.int64)
 
 
-def accumulate(ciphertexts: np.ndarray) -> CiphertextHistogram:
-    """Histogram of an (n, 16) uint8 ciphertext stream."""
-    hist = CiphertextHistogram()
-    hist.add_blocks(ciphertexts)
-    return hist
+def histogram_csv(counts: np.ndarray) -> str:
+    """The counts as position,value,count rows, position-major."""
+    lines = ["position,value,count"]
+    lines.extend(f"{p},{v},{counts[p, v]}"
+                 for p in range(BLOCK_SIZE) for v in range(256))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -98,12 +87,12 @@ def _check_indices(**indices: int) -> None:
 
 
 def recover_key_maxmin(
-    hist: CiphertextHistogram,
+    counts: np.ndarray,
     v: int,
     v_star: int,
     gap_threshold: int = GAP_THRESHOLD,
 ) -> KeyRecoveryResult:
-    """Recover round-10 key bytes from the histogram's zeros.
+    """Recover round-10 key bytes from the zeros of accumulate's counts.
 
     c_min is the least frequent value per position, ties broken toward
     the smaller value.  A key byte is reported when the position has
@@ -118,7 +107,6 @@ def recover_key_maxmin(
     if type(gap_threshold) is not int or gap_threshold < 1:
         raise ValueError("gap_threshold must be an int of at least 1, "
                          f"got {gap_threshold!r}")
-    counts = hist.counts
     c_min = counts.argmin(axis=1).tolist()
     zeros = np.count_nonzero(counts == 0, axis=1).tolist()
     confidence = np.partition(counts, 1, axis=1)[:, 1].tolist()
@@ -151,7 +139,7 @@ class FaultSearchResult:
     scores: np.ndarray = field(repr=False, compare=False)
 
 
-def search_fault_values(hist: CiphertextHistogram) -> FaultSearchResult:
+def search_fault_values(counts: np.ndarray) -> FaultSearchResult:
     """Score every (v, v*) hypothesis by cross-position consistency.
 
     A hypothesis scores one point per position where c_min XOR S[v]
@@ -163,7 +151,7 @@ def search_fault_values(hist: CiphertextHistogram) -> FaultSearchResult:
     of 16) mean no hypothesis explains the histogram and the stream is
     probably not single-faulted.
     """
-    diffs = hist.counts.argmin(axis=1) ^ hist.counts.argmax(axis=1)
+    diffs = counts.argmin(axis=1) ^ counts.argmax(axis=1)
     # Scores are at most 16; int8 keeps the (256, 256) matrix in cache.
     score_by_diff = np.bincount(diffs, minlength=256).astype(np.int8)
     entries = np.frombuffer(AES_SBOX.entries, dtype=np.uint8)
@@ -217,8 +205,6 @@ def min_ciphertexts_to_recover(
     if positions.shape[0] != blocks.shape[0]:
         raise ValueError(f"kept selects {positions.shape[0]} blocks, "
                          f"got {blocks.shape[0]}")
-    if n == 0:
-        return None
     never = n + 1
     first_seen = np.full((BLOCK_SIZE, 256), never, dtype=np.int64)
     for j in range(BLOCK_SIZE):
@@ -227,9 +213,8 @@ def min_ciphertexts_to_recover(
     targets = np.array([AES_SBOX[v] ^ k for k in true_round10_key])
     target_first = first_seen[np.arange(BLOCK_SIZE), targets]
     # Latest first-occurrence among the other 255 values, per position.
-    masked = first_seen.copy()
-    masked[np.arange(BLOCK_SIZE), targets] = -1
-    others_done = masked.max(axis=1)
+    first_seen[np.arange(BLOCK_SIZE), targets] = -1
+    others_done = first_seen.max(axis=1)
     reached_at = int(others_done.max())
     if reached_at > n:
         return None

@@ -18,6 +18,7 @@ from .aes import BLOCK_SIZE, block_from_hex
 from .attack import (
     GAP_THRESHOLD,
     accumulate,
+    histogram_csv,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
     search_fault_values,
@@ -128,10 +129,10 @@ def _cmd_attack(args) -> int:
     blocks = _read_blocks(args.ciphertexts)
     kept = blocks.any(axis=1) if args.zco_filter else None
     stream = blocks if kept is None else blocks[kept]
-    hist = accumulate(stream)
+    counts = accumulate(stream)
     output = {}
     if args.search:
-        found = search_fault_values(hist)
+        found = search_fault_values(counts)
         v, v_star = found.best
         output["search"] = {
             "top_score": found.top_score,
@@ -142,16 +143,21 @@ def _cmd_attack(args) -> int:
         }
     else:
         v, v_star = args.v, args.v_star
-    recovery = recover_key_maxmin(hist, v, v_star,
+    recovery = recover_key_maxmin(counts, v, v_star,
                                   gap_threshold=args.gap_threshold)
     output.update(recovery.to_json_dict())
     output["confident"] = list(recovery.confident)
     output["gap_threshold"] = args.gap_threshold
     if args.true_k10 is not None:
+        true_k10 = block_from_hex(args.true_k10)
+        # A wrong hypothesis still recovers 16 confident bytes, each off
+        # by S[v] XOR S[true v]; only the truth can tell them apart.
+        output["n_correct"] = sum(1 for j, b in enumerate(recovery.recovered)
+                                  if b == true_k10[j])
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
-            stream, block_from_hex(args.true_k10), v, kept=kept)
+            stream, true_k10, v, kept=kept)
     if args.hist_out is not None:
-        Path(args.hist_out).write_text(hist.to_csv())
+        Path(args.hist_out).write_text(histogram_csv(counts))
     _write_or_print(json.dumps(output, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -344,12 +344,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     v = x0
     v_star = AES_INV_SBOX[e0]
 
-    hist = accumulate(attack_stream)
-    recovery = recover_key_maxmin(hist, v, v_star,
+    counts = accumulate(attack_stream)
+    recovery = recover_key_maxmin(counts, v, v_star,
                                   gap_threshold=config.gap_threshold)
     min_ct = min_ciphertexts_to_recover(
         attack_stream, true_k10, v, kept=kept)
 
+    n_attack = attack_stream.shape[0]
     n_present = sum(1 for b in recovery.recovered if b is not None)
     n_correct = sum(1 for j, b in enumerate(recovery.recovered)
                     if b == true_k10[j])
@@ -368,7 +369,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         "v": v,
         "v_star": v_star,
         "n_emitted": int(public.shape[0]),
-        "n_attack": hist.n,
+        "n_attack": n_attack,
         "min_ciphertexts": min_ct,
         "not_reached": min_ct is None,
         "recovery": recovery.to_json_dict(),
@@ -376,7 +377,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         "n_recovered": n_present,
         "n_correct": n_correct,
         "full_recovery": n_present == BLOCK_SIZE and n_correct == BLOCK_SIZE,
-        "histogram": {"n": hist.n, "counts": hist.counts.tolist()},
+        "histogram": {"n": n_attack, "counts": counts.tolist()},
     }
     record.update(extras)
     if config.scenario == MULTI_FAULT:

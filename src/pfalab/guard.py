@@ -11,7 +11,7 @@ The guard runs before each encryption:
 
 2. correct: called only once detect has fired, rebuild entries by
    majority vote over the four neighbour reconstructions offered by
-   the parity tables.
+   the parity tables, which are stored as the lane ints a sweep reads.
    Each is the entry XOR the syndrome of one of its grid edges (the
    edge's two entries XOR their parity), nonzero only where that check
    fails, so an entry on passing edges only is a fixed point.  A sweep
@@ -196,11 +196,10 @@ def correct(
     """
     working = table
     lanes = to_lanes(table.entries)
-    v, h = to_lanes(tables.v), to_lanes(tables.h)
     changed_entries: list[tuple[int, int, int]] = []
     converged = False
     for rounds_used in range(1, cfg.max_correction_rounds + 1):
-        delta, unresolved = _vote(lanes, v, h)
+        delta, unresolved = _vote(lanes, tables.v, tables.h)
         if not delta:
             break  # the entries stand as the last walk rejected them
         old = working.entries
@@ -212,7 +211,7 @@ def correct(
         if converged:
             break
     if delta:
-        unresolved = _vote(lanes, v, h)[1]  # the vote of the final table
+        unresolved = _vote(lanes, tables.v, tables.h)[1]  # of the final table
     return working, CorrectionReport(
         converged=converged, rounds_used=rounds_used,
         changed_entries=tuple(changed_entries),
@@ -228,5 +227,5 @@ def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     unresolved vote keeps the stored entry.
     """
     lanes = to_lanes(table.entries)
-    delta, _ = _vote(lanes, to_lanes(tables.v), to_lanes(tables.h))
+    delta, _ = _vote(lanes, tables.v, tables.h)
     return SBoxTable(from_lanes(lanes ^ delta))

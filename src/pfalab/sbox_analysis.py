@@ -185,24 +185,25 @@ def verify_detection(
 
 @dataclass(frozen=True)
 class RedundantTables:
-    """Parity tables for neighbour reconstruction.
+    """Parity tables for neighbour reconstruction, as lane ints.
 
-    h[x] = table[x] ^ table[right(x)] and v[x] = table[x] ^ table[down(x)]
-    on the toroidal 16x16 grid.  They are assumed to live in storage that
-    the modelled fault does not reach; the fault model targets the main
-    table only.
+    Byte lane x of h is table[x] ^ table[right(x)], and of v is
+    table[x] ^ table[down(x)], on the toroidal 16x16 grid (sbox.to_lanes
+    layout; sbox.from_lanes gives the 256 bytes).  They are assumed to
+    live in storage that the modelled fault does not reach; the fault
+    model targets the main table only.
     """
 
-    h: bytes
-    v: bytes
+    h: int
+    v: int
 
 
 def build_redundant_tables(table: SBoxTable) -> RedundantTables:
     """The XOR of each grid edge's two entries, all 256 at once as lane
     ints."""
     lanes = to_lanes(table.entries)
-    return RedundantTables(h=from_lanes(lanes ^ lanes_right(lanes)),
-                           v=from_lanes(lanes ^ lanes_down(lanes)))
+    return RedundantTables(h=lanes ^ lanes_right(lanes),
+                           v=lanes ^ lanes_down(lanes))
 
 
 def analyze_table(table: SBoxTable) -> dict:
@@ -222,6 +223,6 @@ def analyze_table(table: SBoxTable) -> dict:
         "p": pair.p.hex(),
         "c": pair.c.hex(),
         "c_hat": pair.c_hat.hex(),
-        "h_table": [f"{b:02x}" for b in redundant.h],
-        "v_table": [f"{b:02x}" for b in redundant.v],
+        "h_table": [f"{b:02x}" for b in from_lanes(redundant.h)],
+        "v_table": [f"{b:02x}" for b in from_lanes(redundant.v)],
     }

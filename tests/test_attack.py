@@ -3,9 +3,9 @@ import pytest
 
 from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
 from pfalab.attack import (
-    CiphertextHistogram,
     accumulate,
     estimate_residual_keyspace,
+    histogram_csv,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
     search_fault_values,
@@ -13,6 +13,9 @@ from pfalab.attack import (
 from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
+
+# The counts of a stream without blocks.
+EMPTY = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
 
 
 def faulted_stream(seed, n, fault=(0x42, 0x00)):
@@ -35,35 +38,33 @@ def clean_stream(seed, n):
 
 
 def test_histogram_accumulation():
-    hist = CiphertextHistogram()
-    hist.add_blocks(np.tile(np.arange(16, dtype=np.uint8), (2, 1)))
-    assert hist.n == 2
-    assert hist.counts[3, 3] == 2
-    assert hist.counts[3, 4] == 0
+    counts = accumulate(np.tile(np.arange(16, dtype=np.uint8), (2, 1)))
+    assert counts.shape == (BLOCK_SIZE, 256)
+    assert counts.dtype == np.int64
+    assert (counts.sum(axis=1) == 2).all()
+    assert counts[3, 3] == 2
+    assert counts[3, 4] == 0
     with pytest.raises(ValueError):
-        hist.add_blocks(np.zeros((1, 5), dtype=np.uint8))
+        accumulate(np.zeros((1, 5), dtype=np.uint8))
 
 
-def test_histogram_add_blocks_matches_byte_counts():
+def test_accumulate_adds_over_chunks():
     rng = Rng(61)
     blocks = np.frombuffer(rng.randbytes(BLOCK_SIZE * 500), dtype=np.uint8)
     blocks = blocks.reshape(500, BLOCK_SIZE)
-    hist = CiphertextHistogram()
-    hist.add_blocks(blocks[:123])
-    hist.add_blocks(blocks[123:])
     want = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
     for block in blocks:
         for j, value in enumerate(block):
             want[j, value] += 1
-    assert (hist.counts == want).all()
-    assert hist.n == 500
+    assert (accumulate(blocks) == want).all()
+    for k in (0, 123, 500):
+        assert (accumulate(blocks[:k]) + accumulate(blocks[k:]) == want).all()
 
 
 def test_histogram_to_csv():
-    hist = accumulate(np.vstack([np.zeros((3, 16), dtype=np.uint8),
-                                 np.ones((2, 16), dtype=np.uint8)]))
-    assert hist.n == 5
-    lines = hist.to_csv().splitlines()
+    counts = accumulate(np.vstack([np.zeros((3, 16), dtype=np.uint8),
+                                   np.ones((2, 16), dtype=np.uint8)]))
+    lines = histogram_csv(counts).splitlines()
     assert lines[0] == "position,value,count"
     assert lines[1] == "0,0,3"
     assert lines[2] == "0,1,2"
@@ -98,9 +99,9 @@ def test_recovery_rejects_equal_hypotheses():
 
 def test_zero_values_shrink_to_the_missing_one():
     cts, k10, v, _ = faulted_stream(65, 8000)
-    hist = accumulate(cts)
+    counts = accumulate(cts)
     for j in range(16):
-        assert np.flatnonzero(hist.counts[j] == 0).tolist() == \
+        assert np.flatnonzero(counts[j] == 0).tolist() == \
             [AES_SBOX[v] ^ k10[j]]
 
 
@@ -121,12 +122,11 @@ def test_search_is_inconclusive_on_uniform_stream():
     assert found.top_score < 12
 
 
-def _ranked_by_tuple_sort(hist):
+def _ranked_by_tuple_sort(counts):
     """The reference ranker: every (v, v*, score) sorted by (-score, v, v*)."""
     diffs = np.zeros(BLOCK_SIZE, dtype=np.int64)
     for j in range(BLOCK_SIZE):
-        counts = hist.counts[j]
-        diffs[j] = int(counts.argmin()) ^ int(counts.argmax())
+        diffs[j] = int(counts[j].argmin()) ^ int(counts[j].argmax())
     score_by_diff = np.bincount(diffs, minlength=256)
     entries = np.frombuffer(AES_SBOX.entries, dtype=np.uint8)
     ranked = []
@@ -140,19 +140,12 @@ def _ranked_by_tuple_sort(hist):
     return ranked
 
 
-def _histogram(counts):
-    hist = CiphertextHistogram()
-    hist.counts = counts
-    hist.n = int(counts[0].sum())
-    return hist
-
-
 def _search_oracle_histograms():
     rng = np.random.default_rng(20240601)
-    yield _histogram(np.zeros((BLOCK_SIZE, 256), dtype=np.int64))
+    yield EMPTY
     for high in (60, 3):  # uniform, then tie-heavy (counts 0..2)
         for _ in range(2):
-            yield _histogram(rng.integers(0, high, (BLOCK_SIZE, 256)))
+            yield rng.integers(0, high, (BLOCK_SIZE, 256))
     for seed, n in ((81, 900), (82, 4000)):
         yield accumulate(faulted_stream(seed, n, fault=(0x42, 0x07))[0])
     # Exactly `agree` positions in one class, the rest in other classes,
@@ -164,13 +157,13 @@ def _search_oracle_histograms():
             low = int(rng.integers(0, 256))
             counts[j, low] = 0
             counts[j, low ^ diff] = 9
-        yield _histogram(counts)
+        yield counts
 
 
 def test_search_matches_tuple_sort_reference():
-    for hist in _search_oracle_histograms():
-        ranked = _ranked_by_tuple_sort(hist)
-        found = search_fault_values(hist)
+    for counts in _search_oracle_histograms():
+        ranked = _ranked_by_tuple_sort(counts)
+        found = search_fault_values(counts)
         v, v_star, top = ranked[0]
         assert found.best == (v, v_star)
         assert found.top_score == top
@@ -183,15 +176,14 @@ def test_search_matches_tuple_sort_reference():
         assert not found.scores.flags.writeable
 
 
-def _recover_per_position(hist, v, v_star, gap_threshold):
+def _recover_per_position(counts, v, v_star, gap_threshold):
     """The reference recovery: each position's minimum, zero count and
     second-smallest count read on its own."""
     recovered, confidence, confident = [], [], []
-    for j in range(BLOCK_SIZE):
-        counts = hist.counts[j]
-        k1 = int(counts.argmin()) ^ AES_SBOX[v]
-        zeros = int((counts == 0).sum())
-        second_smallest = int(np.partition(counts, 1)[1])
+    for row in counts:
+        k1 = int(row.argmin()) ^ AES_SBOX[v]
+        zeros = int((row == 0).sum())
+        second_smallest = int(np.partition(row, 1)[1])
         recovered.append(k1 if zeros == 1 else None)
         confidence.append(second_smallest)
         confident.append(zeros == 1 and second_smallest >= gap_threshold)
@@ -199,18 +191,18 @@ def _recover_per_position(hist, v, v_star, gap_threshold):
 
 
 def test_recover_key_maxmin_matches_per_position_reference():
-    for hist in _search_oracle_histograms():
+    for counts in _search_oracle_histograms():
         for v, v_star, gap_threshold in ((0x42, 0x07, 5), (0, 1, 1),
                                          (0xFF, 0x3C, 2)):
-            got = recover_key_maxmin(hist, v, v_star,
+            got = recover_key_maxmin(counts, v, v_star,
                                      gap_threshold=gap_threshold)
             assert (got.recovered, got.confidence,
                     got.confident) == _recover_per_position(
-                        hist, v, v_star, gap_threshold)
+                        counts, v, v_star, gap_threshold)
 
 
 def test_search_on_empty_histogram_scores_zero():
-    found = search_fault_values(CiphertextHistogram())
+    found = search_fault_values(EMPTY)
     assert found.best == (0, 1)
     assert found.top_score == 0
     assert found.inconclusive
@@ -220,14 +212,13 @@ def test_search_on_empty_histogram_scores_zero():
 @pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])
 def test_recovery_rejects_out_of_range_index(v, v_star):
     with pytest.raises(ValueError, match="0..255"):
-        recover_key_maxmin(CiphertextHistogram(), v, v_star)
+        recover_key_maxmin(EMPTY, v, v_star)
 
 
 @pytest.mark.parametrize("gap_threshold", [0, -3, 2.5, True])
 def test_recovery_rejects_a_gap_threshold_that_is_not_a_count(gap_threshold):
     with pytest.raises(ValueError, match="gap_threshold"):
-        recover_key_maxmin(CiphertextHistogram(), 1, 2,
-                           gap_threshold=gap_threshold)
+        recover_key_maxmin(EMPTY, 1, 2, gap_threshold=gap_threshold)
 
 
 @pytest.mark.parametrize("v", [-1, 256])
@@ -305,11 +296,20 @@ def test_min_ciphertexts_validates_shape():
     with pytest.raises(ValueError):
         min_ciphertexts_to_recover(np.zeros((4, 8), dtype=np.uint8),
                                    bytes(16), 1)
-    assert min_ciphertexts_to_recover(
-        np.zeros((0, 16), dtype=np.uint8), bytes(16), 1) is None
     with pytest.raises(ValueError, match="kept selects 3 blocks, got 4"):
         min_ciphertexts_to_recover(np.zeros((4, 16), dtype=np.uint8),
                                    bytes(16), 1, kept=np.ones(3, dtype=bool))
+
+
+def test_min_ciphertexts_none_on_empty_stream():
+    assert min_ciphertexts_to_recover(
+        np.zeros((0, 16), dtype=np.uint8), bytes(16), 1) is None
+
+
+def test_min_ciphertexts_none_when_kept_drops_every_block():
+    cts, k10, v, _ = faulted_stream(74, 3000)
+    kept = np.zeros(3000, dtype=bool)
+    assert min_ciphertexts_to_recover(cts[kept], k10, v, kept=kept) is None
 
 
 def test_residual_keyspace_formula():

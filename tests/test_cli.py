@@ -215,6 +215,28 @@ def test_attack_with_known_hypothesis(stream_file, tmp_path, capsys):
     assert len(hist_lines) == 1 + 16 * 256
 
 
+@pytest.mark.parametrize("v,v_star,n_correct", [
+    (0x42, AES_INV_SBOX[0x00], 16),
+    # A wrong v still recovers 16 confident bytes, each off by
+    # S[0] ^ S[0x42]; only the count against the truth shows it.
+    (0x00, 0x92, 0),
+])
+def test_attack_counts_correct_bytes_against_a_true_key(
+        stream_file, capsys, v, v_star, n_correct):
+    path, k10 = stream_file
+    assert main(["attack", str(path), "--v", hex(v), "--v-star", hex(v_star),
+                 "--true-k10", k10.hex()]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert all(output["confident"])
+    assert output["n_correct"] == n_correct
+    assert output["n_correct"] == sum(
+        1 for got, want in zip(output["k10"], k10) if got == want)
+    # Without the truth there is nothing to count against.
+    assert main(["attack", str(path), "--v", hex(v),
+                 "--v-star", hex(v_star)]) == 0
+    assert "n_correct" not in json.loads(capsys.readouterr().out)
+
+
 def test_attack_search_mode(stream_file, capsys):
     path, k10 = stream_file
     assert main(["attack", str(path), "--search"]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pfalab import experiment
+from pfalab.attack import recover_key_maxmin
 from pfalab.classic import IDDMR, MODULE_ONE_ONLY, NCO, RCO, SHARED, ZCO
 from pfalab.experiment import (
     CHOICES,
@@ -391,6 +392,26 @@ def test_dmr_defenses_shape_the_emitted_stream():
 
     rco = run_trial(small(implementation="dmr", dmr_defense=RCO), 0)
     assert rco["n_emitted"] == rco["n_attack"] == 600
+
+
+# dmr defaults to ZCO, whose histogram leaves the zero blocks out, so
+# it needs a longer stream for its key bytes to show.
+@pytest.mark.parametrize("implementation,n", [("ori", 3000), ("dmr", 5000)])
+def test_records_rescore_from_their_stored_histogram(implementation, n):
+    config = small(implementation=implementation, n_ciphertexts=n,
+                   n_trials=1, gap_threshold=4)
+    text = render_files(run_experiment(config))["records.jsonl"]
+    r = json.loads(text)
+    counts = np.array(r["histogram"]["counts"])
+    assert (counts.sum(axis=1) == r["histogram"]["n"]).all()
+    assert r["histogram"]["n"] == r["n_attack"]
+    assert (r["n_attack"] < r["n_emitted"]) == (implementation == "dmr")
+    again = recover_key_maxmin(counts, r["v"], r["v_star"],
+                               gap_threshold=r["config"]["gap_threshold"])
+    assert again.to_json_dict() == r["recovery"]
+    assert list(again.confident) == r["confident"]
+    # Neither all nor none of the bytes pass, so the gate is exercised.
+    assert 0 < sum(r["confident"]) < 16
 
 
 def test_fixed_key_applies_to_every_trial():

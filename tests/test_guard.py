@@ -26,6 +26,7 @@ from pfalab.sbox import (
     AES_SBOX,
     SBoxTable,
     down,
+    from_lanes,
     lanes_down,
     lanes_left,
     lanes_right,
@@ -63,12 +64,13 @@ def test_second_checkpoint_catches_the_swap(pair):
 def _plant_candidates(tables, x, candidates, current):
     """A table whose entry x holds current and whose four neighbours make
     x's reconstructions (up, down, left, right) equal candidates."""
+    h, v = from_lanes(tables.h), from_lanes(tables.v)
     entries = bytearray(AES_SBOX.entries)
     entries[x] = current
-    for y, parity, c in ((up(x), tables.v[up(x)], candidates[0]),
-                         (down(x), tables.v[x], candidates[1]),
-                         (left(x), tables.h[left(x)], candidates[2]),
-                         (right(x), tables.h[x], candidates[3])):
+    for y, parity, c in ((up(x), v[up(x)], candidates[0]),
+                         (down(x), v[x], candidates[1]),
+                         (left(x), h[left(x)], candidates[2]),
+                         (right(x), h[x], candidates[3])):
         entries[y] = c ^ parity
     return SBoxTable(bytes(entries))
 
@@ -96,8 +98,7 @@ def test_reconstruction_identity_on_pristine(tables):
     identity = SBoxTable(bytes(range(256)))
     for pristine in (AES_SBOX, identity, SBoxTable(entries)):
         parity = build_redundant_tables(pristine)
-        assert _vote(to_lanes(pristine.entries), to_lanes(parity.v),
-                     to_lanes(parity.h)) == (0, 0)
+        assert _vote(to_lanes(pristine.entries), parity.v, parity.h) == (0, 0)
         assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
@@ -146,8 +147,7 @@ def _lane_tables():
     own parity tables."""
     for table in (AES_SBOX, _S5A):
         parity = build_redundant_tables(table)
-        yield (to_lanes(table.entries), to_lanes(parity.v),
-               to_lanes(parity.h))
+        yield to_lanes(table.entries), parity.v, parity.h
 
 
 def _assert_votes_agree(lanes, v, h):
@@ -319,8 +319,7 @@ def test_precorrect_table_masks_single_fault(tables):
 
 
 def test_precorrect_table_equivalence(pair, tables):
-    h = np.frombuffer(tables.h, dtype=np.uint8)
-    v = np.frombuffer(tables.v, dtype=np.uint8)
+    h, v = _parity_arrays(tables)
     rng = Rng(15)
     for _ in range(100):
         spec = random_faults(Rng(derive_seed(rng.seed, rng.u64())), 2)
@@ -339,6 +338,12 @@ _UP = np.array([up(x) for x in range(256)], dtype=np.intp)
 _DOWN = np.array([down(x) for x in range(256)], dtype=np.intp)
 _LEFT = np.array([left(x) for x in range(256)], dtype=np.intp)
 _RIGHT = np.array([right(x) for x in range(256)], dtype=np.intp)
+
+
+def _parity_arrays(tables):
+    """The parity tables h and v as uint8 arrays indexed by entry."""
+    return (np.frombuffer(from_lanes(tables.h), dtype=np.uint8),
+            np.frombuffer(from_lanes(tables.v), dtype=np.uint8))
 
 
 def _dense_sweep(entries, h, v):
@@ -364,8 +369,7 @@ def _dense_sweep(entries, h, v):
 def _oracle_correct(table, tables, pair, cfg):
     """correct() over _dense_sweep, plus the snapshot each write read."""
     entries = np.frombuffer(table.entries, dtype=np.uint8).copy()
-    h = np.frombuffer(tables.h, dtype=np.uint8)
-    v = np.frombuffer(tables.v, dtype=np.uint8)
+    h, v = _parity_arrays(tables)
     changed_entries, snapshots = [], []
     rounds_used = 0
     for _ in range(cfg.max_correction_rounds):
@@ -393,9 +397,10 @@ def _oracle_correct(table, tables, pair, cfg):
 
 def _on_failing_edge(table, tables, x):
     """Whether any of the parity checks that read entry x fails."""
+    h, v = from_lanes(tables.h), from_lanes(tables.v)
     return any(table[a] ^ table[b] != parity for a, b, parity in (
-        (up(x), x, tables.v[up(x)]), (x, down(x), tables.v[x]),
-        (left(x), x, tables.h[left(x)]), (x, right(x), tables.h[x])))
+        (up(x), x, v[up(x)]), (x, down(x), v[x]),
+        (left(x), x, h[left(x)]), (x, right(x), h[x])))
 
 
 def _oracle_cases():
@@ -417,8 +422,7 @@ def _oracle_cases():
 
 
 def test_syndrome_sweep_matches_dense_oracle(pair, tables):
-    h = np.frombuffer(tables.h, dtype=np.uint8)
-    v = np.frombuffer(tables.v, dtype=np.uint8)
+    h, v = _parity_arrays(tables)
     for i, faulted in _oracle_cases():
         dense, _, _ = _dense_sweep(
             np.frombuffer(faulted.entries, dtype=np.uint8), h, v)
