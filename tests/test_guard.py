@@ -309,6 +309,24 @@ def test_correction_report_json_shape():
     }
 
 
+def test_correction_report_is_an_immutable_value():
+    report = CorrectionReport(converged=False, rounds_used=2)
+    assert (report.changed_entries, report.unresolved) == ((), ())
+    for name in ("converged", "rounds_used", "changed_entries",
+                 "unresolved"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, getattr(report, name))
+    full = CorrectionReport(converged=True, rounds_used=1,
+                            changed_entries=((7, 1, 2),), unresolved=(9,))
+    same = CorrectionReport(converged=True, rounds_used=1,
+                            changed_entries=((7, 1, 2),), unresolved=(9,))
+    assert full == same and hash(full) == hash(same)
+    assert full != CorrectionReport(converged=True, rounds_used=1,
+                                    changed_entries=((7, 1, 2),))
+    assert report == CorrectionReport(converged=False, rounds_used=2,
+                                      changed_entries=(), unresolved=())
+
+
 def test_precorrect_table_masks_single_fault(tables):
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     effective = precorrect_table(faulted, tables)
