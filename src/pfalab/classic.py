@@ -92,8 +92,9 @@ def dmr_encrypt_blocks(
     """DMR-guarded encryption: returns (emitted blocks, mismatch mask).
 
     Module 1 (the observed one) always encrypts with faulted_table;
-    module 2's table follows cfg.fault_scope.  The mismatch predicate
-    never depends on the defense chosen.
+    module 2's table follows cfg.fault_scope, and module 1's ciphertexts
+    stand in for its own when the tables are equal.  The mismatch
+    predicate never depends on the defense chosen.
 
     Under NCO the mismatched rows are still present in the array but
     carry no meaning; callers drop them via the mask.  Under ZCO they
@@ -105,8 +106,8 @@ def dmr_encrypt_blocks(
                         shift_rows=shift_rows)
     if cfg.mode == REDMR:
         table2 = faulted_table if cfg.fault_scope == SHARED else pristine_table
-        c2 = encrypt_blocks(plaintexts, round_keys, table2,
-                            shift_rows=shift_rows)
+        c2 = c1 if table2 == faulted_table else encrypt_blocks(
+            plaintexts, round_keys, table2, shift_rows=shift_rows)
         mismatch = (c1 != c2).any(axis=1)
     else:
         back = decrypt_blocks(c1, round_keys, pristine_table.inverse(),

@@ -19,7 +19,8 @@ The guard runs before each encryption:
    (sbox.to_lanes): the syndromes come from the sbox lane moves, and
    the comparisons, the vote and the write are whole-int bit operations.
    A lone faulty entry (its four edges, and no others, fail with one
-   syndrome) is voted in closed form, skipping the pairwise comparisons.
+   syndrome) is voted in closed form, skipping the pairwise comparisons
+   and, as that write clears every syndrome, the final table's vote.
    One sweep repairs any entry that still has at least two sound votes;
    denser damage is peeled from the outside in over repeated sweeps.
    Every sweep covers the whole table.
@@ -31,7 +32,7 @@ copy of the table on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sbox import (
     SBoxTable,
@@ -109,7 +110,7 @@ def _lanes_of(lanes: int) -> list[int]:
     return found
 
 
-def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
+def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
     """One simultaneous vote over all 256 entries of a lane int.
 
     Each entry's candidates are the entry XOR the syndromes s0..s3 of its
@@ -119,24 +120,26 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
     (2-1-1), 3 (3-1) and 6 (4-0) leave one majority, 0 and 2 (2-2) do
     not, and 4 and 5 cannot occur.  An entry on passing edges only votes
     4-of-4 for itself.  v and h are the parity tables as lane ints.
-    Returns (delta, unresolved): lanes ^ delta is the voted table, and
-    unresolved has bit 7 set where a vote cannot decide.
+    Returns (delta, unresolved, clears): lanes ^ delta is the voted
+    table, unresolved has bit 7 set where a vote cannot decide, and
+    clears is True when lanes ^ delta fails no edge.
 
     One entry x with error e fails exactly its four edges, all with
     syndrome e: sv is e in lanes x and up(x), sh is e in lanes x and
     left(x), and x is the one lane of sv & sh.  Then x votes 4-0 for e,
     each of its four neighbours 3-1 for itself (one failing edge), and
-    every other entry 4-0 for itself, so delta is e in lane x alone.
+    every other entry 4-0 for itself, so delta is e in lane x alone, and
+    writing it clears both syndromes.
     """
     sv = lanes ^ lanes_down(lanes) ^ v
     sh = lanes ^ lanes_right(lanes) ^ h
     if not sv | sh:
-        return 0, 0
+        return 0, 0, True
     x = max((sv & sh).bit_length() - 1, 0) >> 3  # empty: x = 0, no match
     e = (sv >> 8 * x) & 0xFF
     if (sv == e << 8 * x | e << 8 * up(x)
             and sh == e << 8 * x | e << 8 * left(x)):
-        return e << 8 * x, 0
+        return e << 8 * x, 0, True
     s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
     # eij: candidates i and j agree.
     e01 = _zero_lanes(s0 ^ s1)
@@ -153,10 +156,10 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
     pick1 = _widen((e12 | e13) & ~pick0)
     pick0 = _widen(pick0)
     winner = (s0 & pick0) | (s1 & pick1) | (s2 & ~(pick0 | pick1))
-    return winner & _widen(resolved), _HIGH & ~resolved
+    return winner & _widen(resolved), _HIGH & ~resolved, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionReport:
     """What a correct() invocation did and where it ended up.
 
@@ -168,8 +171,8 @@ class CorrectionReport:
 
     converged: bool
     rounds_used: int
-    changed_entries: tuple[tuple[int, int, int], ...] = field(default=())
-    unresolved: tuple[int, ...] = field(default=())
+    changed_entries: tuple[tuple[int, int, int], ...] = ()
+    unresolved: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,30 +195,34 @@ def correct(
     when the walk passes, a vote changes nothing, or the round budget is
     spent.  Writes within a round are simultaneous (every vote reads the
     same snapshot), so entry order never matters and rounds_used is well
-    defined.
+    defined.  A closed-form write clears every syndrome, so its table is
+    not voted again for the unresolved entries.
     """
     working = table
     lanes = to_lanes(table.entries)
     changed_entries: list[tuple[int, int, int]] = []
     converged = False
     for rounds_used in range(1, cfg.max_correction_rounds + 1):
-        delta, unresolved = _vote(lanes, tables.v, tables.h)
+        delta, unresolved, clears = _vote(lanes, tables.v, tables.h)
         if not delta:
             break  # the entries stand as the last walk rejected them
         old = working.entries
         lanes ^= delta
         working = SBoxTable(from_lanes(lanes))
-        changed_entries += [(x, old[x], working.entries[x])
-                            for x in _lanes_of(delta)]
+        if clears:  # one entry, voted in closed form
+            x = (delta.bit_length() - 1) >> 3
+            changed_entries.append((x, old[x], working.entries[x]))
+        else:
+            changed_entries += [(x, old[x], working.entries[x])
+                                for x in _lanes_of(delta)]
         converged = not detect(working, pair)
         if converged:
             break
-    if delta:
+    if delta and not clears:
         unresolved = _vote(lanes, tables.v, tables.h)[1]  # of the final table
     return working, CorrectionReport(
-        converged=converged, rounds_used=rounds_used,
-        changed_entries=tuple(changed_entries),
-        unresolved=tuple(_lanes_of(unresolved)))
+        converged, rounds_used, tuple(changed_entries),
+        tuple(_lanes_of(unresolved)))
 
 
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
@@ -227,5 +234,4 @@ def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     unresolved vote keeps the stored entry.
     """
     lanes = to_lanes(table.entries)
-    delta, _ = _vote(lanes, tables.v, tables.h)
-    return SBoxTable(from_lanes(lanes ^ delta))
+    return SBoxTable(from_lanes(lanes ^ _vote(lanes, tables.v, tables.h)[0]))

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pfalab import classic
 from pfalab.aes import (
     BLOCK_SIZE,
     block_from_hex,
@@ -107,6 +108,24 @@ def test_redmr_shared_fault_never_fires():
                                        DmrConfig(fault_scope=SHARED))
     assert not mismatch.any()
     assert (out == encrypt_blocks(pts, rk, faulted)).all()
+
+
+@pytest.mark.parametrize("scope,calls", [(SHARED, 1), (MODULE_ONE_ONLY, 2)])
+def test_redmr_encrypts_once_per_distinct_table(monkeypatch, scope, calls):
+    # With one table in both modules, module 1's ciphertexts stand in for
+    # module 2's.
+    made = []
+
+    def counting_encrypt(*args, **kwargs):
+        made.append(args)
+        return encrypt_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(classic, "encrypt_blocks", counting_encrypt)
+    rng, _, rk = fresh_material(23)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    dmr_encrypt_blocks(blocks(rng, 20), rk, AES_SBOX, faulted,
+                       DmrConfig(fault_scope=scope))
+    assert len(made) == calls
 
 
 def test_iddmr_agrees_with_redmr_module_one():

@@ -4,6 +4,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pfalab import guard
 from pfalab.faults import (
     BIT_FLIP,
@@ -98,7 +101,8 @@ def test_reconstruction_identity_on_pristine(tables):
     identity = SBoxTable(bytes(range(256)))
     for pristine in (AES_SBOX, identity, SBoxTable(entries)):
         parity = build_redundant_tables(pristine)
-        assert _vote(to_lanes(pristine.entries), parity.v, parity.h) == (0, 0)
+        assert _vote(to_lanes(pristine.entries), parity.v, parity.h) == \
+            (0, 0, True)
         assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
@@ -151,8 +155,14 @@ def _lane_tables():
 
 
 def _assert_votes_agree(lanes, v, h):
+    """The vote equals the pairwise vote, and a write it marks as
+    clearing leaves no syndrome, so a vote of the result writes and
+    leaves open nothing."""
     got = _vote(lanes, v, h)
-    assert got == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
+    assert got[:2] == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
+    if got[2]:
+        assert _vote(lanes ^ got[0], v, h) == (0, 0, True), \
+            (hex(lanes ^ v), hex(h))
     return got
 
 
@@ -162,14 +172,45 @@ def _no_lane_vote(lanes):
 
 def test_one_entry_vote_is_closed_form(monkeypatch):
     # Every (x, e) single fault on both tables: the vote equals the
-    # pairwise vote, writes e into lane x alone, and never reaches the
-    # pairwise comparisons (the first of which needs lanes_up).
+    # pairwise vote, writes e into lane x alone as a clearing write (the
+    # table it leaves votes (0, 0, True)), and never reaches the pairwise
+    # comparisons (the first of which needs lanes_up).
     monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
     for lanes, v, h in _lane_tables():
         for x in range(256):
             for e in range(1, 256):
                 assert _assert_votes_agree(lanes ^ e << 8 * x, v, h) == \
-                    (e << 8 * x, 0)
+                    (e << 8 * x, 0, True)
+
+
+def _lane_errors(max_size):
+    """Up to max_size nonzero byte errors at distinct lanes, as one lane
+    int."""
+    return st.dictionaries(st.integers(0, 255), st.integers(1, 255),
+                           max_size=max_size).map(
+        lambda errors: sum(e << 8 * x for x, e in errors.items()))
+
+
+# Lone entry faults and sound parity tables are drawn often enough to
+# reach the closed form in about one example of ten.
+_ENTRY_ERRORS = st.one_of(_lane_errors(1), _lane_errors(4))
+_PARITY_ERRORS = st.one_of(st.just(0), _lane_errors(2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(table=st.binary(min_size=256, max_size=256), errors=_ENTRY_ERRORS,
+       v_errors=_PARITY_ERRORS, h_errors=_PARITY_ERRORS)
+def test_a_clearing_write_leaves_no_syndrome(table, errors, v_errors,
+                                             h_errors):
+    # Any table, entry errors and parity faults: whenever the vote marks
+    # its write as clearing, a vote of the written table is (0, 0).
+    parity = build_redundant_tables(SBoxTable(table))
+    lanes = to_lanes(table) ^ errors
+    v, h = parity.v ^ v_errors, parity.h ^ h_errors
+    delta, unresolved, clears = _vote(lanes, v, h)
+    if clears:
+        assert unresolved == 0
+        assert _vote(lanes ^ delta, v, h) == (0, 0, True)
 
 
 def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
@@ -469,6 +510,11 @@ def _golden_cases():
         for e in range(256):
             if e != AES_SBOX[x]:
                 yield inject(AES_SBOX, FaultSpec(((x, e),))), default
+    yield from _double_cases()
+
+
+def _double_cases():
+    """The 1,024 two-fault placements of _golden_cases, in its order."""
     rng = Rng(19)
     for i in range(1024):
         x1 = i // 4
@@ -490,3 +536,38 @@ def test_correct_and_precorrect_match_golden_digest(pair, tables):
         digest.update(precorrect_table(faulted, tables).entries)
     assert digest.hexdigest() == (
         "1a23fbc99fb6fdeaef7d7302f311004a27d8a14827a11c9fdcf924980563cace")
+
+
+def _cluster_cases():
+    """The 3x3 ring, the 3x3 block and the 5x5 block at 16 seeded
+    anchors, with seeded values, at budgets 1, 2 and 16."""
+    rng = Rng(20)
+    for _ in range(16):
+        r0, c0 = divmod(rng.randrange(256), 16)
+        for side, ring in ((3, True), (3, False), (5, False)):
+            cells = [_torus(r0 + dr, c0 + dc)
+                     for dr in range(side) for dc in range(side)
+                     if not (ring and dr == dc == side // 2)]
+            spec = FaultSpec(tuple(
+                (x, AES_SBOX[x] ^ (1 + rng.randrange(255))) for x in cells))
+            for budget in (1, 2, 16):
+                yield inject(AES_SBOX, spec), GuardConfig(budget)
+
+
+def _seeded_single_cases():
+    """2,000 single faults at seeded cells and values."""
+    rng = Rng(21)
+    for _ in range(2000):
+        x = rng.randrange(256)
+        yield inject(AES_SBOX, FaultSpec(
+            ((x, AES_SBOX[x] ^ (1 + rng.randrange(255))),))), GuardConfig()
+
+
+@pytest.mark.parametrize("cases", [
+    _seeded_single_cases, _double_cases, _cluster_cases])
+def test_correct_matches_the_revoting_oracle(pair, tables, cases):
+    # The oracle votes the final table after every write; correct() skips
+    # that vote after a clearing write, and no table or report differs.
+    for faulted, cfg in cases():
+        want_fixed, want, _ = _oracle_correct(faulted, tables, pair, cfg)
+        assert correct(faulted, tables, pair, cfg) == (want_fixed, want)
