@@ -3,7 +3,6 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
