@@ -21,7 +21,6 @@ was built with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,15 +221,3 @@ def min_ciphertexts_to_recover(
         return None
     return reached_at
 
-
-def estimate_residual_keyspace(n_faults: int) -> float:
-    """Figure of merit for multi-fault recovery: 16 * log2(fault count).
-
-    With more than one corrupted entry each position retains several
-    indistinguishable candidates; this is the standard aggregate over
-    the 16 positions.  Exposed as the raw formula, units left to the
-    caller.
-    """
-    if n_faults < 1:
-        raise ValueError("fault count must be at least 1")
-    return 16.0 * math.log2(n_faults)

@@ -36,7 +36,6 @@ from .attack import (
     accumulate,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
-    estimate_residual_keyspace,
 )
 from .classic import (
     IDDMR,
@@ -78,6 +77,9 @@ DC_PRECORRECT = "dc_precorrect"
 
 SINGLE_FAULT = "single_fault"
 MULTI_FAULT = "multi_fault"
+
+# Every record's "schema": the version of the records.jsonl line layout.
+RECORD_SCHEMA = 2
 
 
 class ConfigError(ValueError):
@@ -156,8 +158,8 @@ class ExperimentConfig:
             positions = tuple(self.curve_positions)
         except TypeError:
             raise ConfigError("curve positions must be iterable") from None
-        # Curve rows are formatted once for CSV and JSON, which agree on
-        # int cells only: a bool or numpy position would print apart.
+        # config.json and curves.csv print the positions: a bool or
+        # numpy position would print as something else, or not at all.
         if any(type(p) is not int or not 0 <= p < BLOCK_SIZE
                for p in positions):
             raise ConfigError("curve positions must be integers in 0..15")
@@ -180,8 +182,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """A run's records, plus the curve counts of its tracked trials:
+    curves[t] is trial t's (position, grid point, value) count array."""
+
     config: ExperimentConfig
     records: list = field(default_factory=list)
+    curves: list = field(default_factory=list)
 
 
 # A device takes (config, round_keys, faulted, plaintexts, rco_rng) and
@@ -263,52 +269,27 @@ def _redundant_tables():
     return build_redundant_tables(AES_SBOX)
 
 
-@dataclass(frozen=True, eq=False)
-class Curves:
-    """A tracked trial's running per-value counts over its emitted stream.
-
-    counts[i, j, value] is how often value was seen at byte positions[i]
-    in the first points[j] emitted blocks.  render_files formats it as one
-    position,value,n,count / n row per value at every grid point.  The
-    arrays are read-only views, and equality compares content.
-    """
-
-    positions: tuple
-    points: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        for name in ("points", "counts"):
-            view = getattr(self, name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-
-    def __eq__(self, other):
-        if not isinstance(other, Curves):
-            return NotImplemented
-        return (self.positions == other.positions
-                and np.array_equal(self.points, other.points)
-                and np.array_equal(self.counts, other.counts))
-
-
-def _curve_counts(public: np.ndarray, positions, grid_step: int) -> Curves:
-    """Per-value counts of the emitted stream at every grid_step blocks."""
-    points = np.arange(grid_step, public.shape[0] + 1, grid_step)
-    segment = np.repeat(np.arange(points.size), grid_step)
-    counts = np.empty((len(positions), points.size, 256), dtype=np.int64)
+def _curve_counts(public: np.ndarray, positions, grid_step: int):
+    """Running per-value counts of the emitted stream: counts[i, j, value]
+    is how often value was seen at byte positions[i] in the first
+    (j + 1) * grid_step emitted blocks."""
+    n_points = public.shape[0] // grid_step
+    segment = np.repeat(np.arange(n_points), grid_step)
+    counts = np.empty((len(positions), n_points, 256), dtype=np.int64)
     for i, position in enumerate(positions):
         seen = np.bincount(segment * 256 + public[:segment.size, position],
-                           minlength=points.size * 256)
-        np.cumsum(seen.reshape(points.size, 256), axis=0, out=counts[i])
-    return Curves(positions, points, counts)
+                           minlength=n_points * 256)
+        np.cumsum(seen.reshape(n_points, 256), axis=0, out=counts[i])
+    return counts
 
 
-def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    """Run one seeded trial and return its record.
+def run_trial(config: ExperimentConfig, trial: int):
+    """Run one seeded trial and return (record, curve counts).
 
-    Every value is JSON-safe except a tracked trial's "curves", which
-    holds the per-value counts as a Curves; render_files writes them out
-    as rows in curves.csv and in the record's line.
+    The record is the JSON object of the trial's records.jsonl line.  The
+    curve counts are _curve_counts' array for a tracked trial (trial <
+    curve_trials) and None otherwise; render_files writes them to
+    curves.csv.
     """
     key_rng = Rng(derive_seed(config.seed, trial, "key"))
     fault_rng = Rng(derive_seed(config.seed, trial, "fault"))
@@ -356,12 +337,12 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
                     if b == true_k10[j])
 
     record = {
+        "schema": RECORD_SCHEMA,
         "trial": trial,
         "implementation": config.implementation,
         "scenario": config.scenario,
         "seed": config.seed,
         "rng_algorithm": RNG_ALGORITHM,
-        "config": config.to_json_dict(),
         "key": key.hex(),
         "true_k10": true_k10.hex(),
         "fault_spec": spec.to_json_dict(),
@@ -380,18 +361,21 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         "histogram": {"n": n_attack, "counts": counts.tolist()},
     }
     record.update(extras)
-    if config.scenario == MULTI_FAULT:
-        record["residual_keyspace_bits"] = estimate_residual_keyspace(
-            config.n_faults)
+    curves = None
     if trial < config.curve_trials:
-        record["curves"] = _curve_counts(public, config.curve_positions,
-                                         config.curve_grid)
-    return record
+        curves = _curve_counts(public, config.curve_positions,
+                               config.curve_grid)
+    return record, curves
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    records = [run_trial(config, trial) for trial in range(config.n_trials)]
-    return ExperimentResult(config=config, records=records)
+    result = ExperimentResult(config=config)
+    for trial in range(config.n_trials):
+        record, curves = run_trial(config, trial)
+        result.records.append(record)
+        if curves is not None:
+            result.curves.append(curves)
+    return result
 
 
 def _summary(records):
@@ -431,23 +415,24 @@ _CURVES_HEADER = "trial,position,value,n,probability\n"
 _BLOCK_POINTS = 128
 
 
-def _curve_blocks(curves: Curves, trial: int):
+def _curve_blocks(trial: int, positions, all_points: np.ndarray,
+                 all_counts: np.ndarray):
     """Yield a tracked trial's curves.csv lines as text, a block of grid
     points at a time.
 
-    Each (positions[i], points[j], value) gives the line
-    trial,position,value,n,count / n (repr'd) for n = points[j] and
-    count = counts[i, j, value], in counts order.  The heads are
+    Each (positions[i], all_points[j], value) gives the line
+    trial,position,value,n,count / n (repr'd) for n = all_points[j] and
+    count = all_counts[i, j, value], in all_counts order.  The heads are
     formatted once per position.  A block's tails are built per distinct
     (n, count) pair from its n texts and one repr per distinct count / n
     value, since many pairs share a probability.  The float64 division
     is correctly rounded, as Python's int / int is, so the probabilities
     equal the exact-integer ones.
     """
-    for position, per_point in zip(curves.positions, curves.counts):
+    for position, per_point in zip(positions, all_counts):
         heads = [f"{trial},{position},{value}" for value in range(256)]
-        for start in range(0, curves.points.size, _BLOCK_POINTS):
-            points = curves.points[start:start + _BLOCK_POINTS]
+        for start in range(0, all_points.size, _BLOCK_POINTS):
+            points = all_points[start:start + _BLOCK_POINTS]
             counts = per_point[start:start + _BLOCK_POINTS]
             keys = counts * points.size + np.arange(points.size)[:, None]
             pairs, inverse = np.unique(keys, return_inverse=True)
@@ -488,29 +473,22 @@ def render_files(result: ExperimentResult) -> dict:
     """The run directory's contents as filename -> text.
 
     Byte-for-byte reproducible: identical configs yield identical file
-    contents, which `--check` relies on.  A tracked record's "curves"
-    rows are cut from its curves.csv lines: each line is "trial," then
-    the row's cells, which hold only digits, commas, ".", "e" and "-",
-    so the row is those cells in brackets.
+    contents, which `--check` relies on.  Each file is written from its
+    own source: config.json from the config, records.jsonl from one
+    canonical JSON line per record, curves.csv from the tracked trials'
+    counts, whose grid points are the multiples of curve_grid, and
+    table3.csv from the records.
     """
-    records, curves = [], [_CURVES_HEADER]
-    for record in result.records:
-        if "curves" not in record:
-            records.append(_canonical_json(record) + "\n")
-            continue
-        blocks = list(_curve_blocks(record["curves"], record["trial"]))
-        curves += blocks
-        head = f"{record['trial']},"
-        rows = ["[" + block[len(head):-1].replace("\n" + head, "],[") + "],"
-                for block in blocks]
-        if rows:
-            rows[-1] = rows[-1][:-1]        # no comma after the last row
-        before, _, after = _canonical_json(
-            {**record, "curves": None}).partition('"curves":null')
-        records += [before, '"curves":[', *rows, "]", after, "\n"]
+    config = result.config
+    curves = [_CURVES_HEADER]
+    for trial, counts in enumerate(result.curves):
+        points = config.curve_grid * np.arange(1, counts.shape[1] + 1)
+        curves += _curve_blocks(trial, config.curve_positions, points,
+                                counts)
     return {
-        "config.json": _canonical_json(result.config.to_json_dict()) + "\n",
-        "records.jsonl": "".join(records),
+        "config.json": _canonical_json(config.to_json_dict()) + "\n",
+        "records.jsonl": "".join(_canonical_json(record) + "\n"
+                                 for record in result.records),
         "curves.csv": "".join(curves),
         "table3.csv": emit_table3(result.records),
     }

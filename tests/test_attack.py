@@ -4,7 +4,6 @@ import pytest
 from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
 from pfalab.attack import (
     accumulate,
-    estimate_residual_keyspace,
     histogram_csv,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -311,11 +310,3 @@ def test_min_ciphertexts_none_when_kept_drops_every_block():
     kept = np.zeros(3000, dtype=bool)
     assert min_ciphertexts_to_recover(cts[kept], k10, v, kept=kept) is None
 
-
-def test_residual_keyspace_formula():
-    assert estimate_residual_keyspace(1) == 0.0
-    assert estimate_residual_keyspace(2) == 16.0
-    assert estimate_residual_keyspace(4) == 32.0
-    assert estimate_residual_keyspace(16) == 64.0
-    with pytest.raises(ValueError):
-        estimate_residual_keyspace(0)

@@ -91,12 +91,8 @@ def test_run_check_renders_each_result_once(tmp_path, capsys, monkeypatch):
     def tampered_rerun(config):
         result = experiment.run_experiment(config)
         if runs:
-            # One count of the last grid point, one line of each file.
-            curves = result.records[1]["curves"]
-            counts = curves.counts.copy()
-            counts[-1, -1, 0] += 1
-            result.records[1]["curves"] = dataclasses.replace(curves,
-                                                              counts=counts)
+            # One count of the last grid point, one line of curves.csv.
+            result.curves[1][-1, -1, 0] += 1
         runs.append(result)
         return result
 
