@@ -176,10 +176,13 @@ def test_records_follow_schema_2(case):
         assert (cells[..., 4] == counts / n).all()
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests(result):
     files = render_files(result)
-    return tuple(hashlib.sha256(files[name].encode()).hexdigest()
-                 for name in ("records.jsonl", "curves.csv"))
+    return _sha256(files["records.jsonl"]), _sha256(files["curves.csv"])
 
 
 # SHA-256 of records.jsonl and curves.csv.  The curves.csv digests are
@@ -277,10 +280,6 @@ def test_artifacts_match_golden_digests(case):
     if case == "stream_below_grid":
         assert result.curves[0].shape == (1, 0, 256)
     assert _digests(result) == (records_sha, curves_sha)
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_exponent_probabilities_match_golden_digests():
