@@ -13,15 +13,12 @@ cost.
 
 Byte scrambling runs two full encryption paths A and B and, in the last
 round's ShiftRows, routes each shifted byte from the other path when
-(row + target column) is even.  A transient fault in one path's final
-state thereby migrates to the other path's output, so the observed path
-stays correct.  A persistent fault in a shared table corrupts both
-paths identically, which the routing cannot hide.  Both paths add the
-same round-10 key after the crossing, so it is done on the two paths'
-ciphertexts.  With one table for both paths, path A stands in for path
-B and the cipher runs once; the emitted path-B ciphertext is then
-exactly the plain encryption, and a transient fault replaces one of its
-bytes.
+(row + target column) is even.  A persistent fault in a shared table
+corrupts both paths identically, which the routing cannot hide.  Both
+paths add the same round-10 key after the crossing, so it is done on
+the two paths' ciphertexts.  With one table for both paths, path A
+stands in for path B and the cipher runs once; the emitted path-B
+ciphertext is then exactly the plain encryption.
 
 Both schemes are built on the public encrypt_blocks/decrypt_blocks of
 pfalab.aes, and both take (n, 16) batches only: a single block is a
@@ -34,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aes import (
-    BLOCK_SIZE,
-    INV_SHIFT_ROWS_PERM,
-    NUM_ROUNDS,
-    decrypt_blocks,
-    encrypt_blocks,
-)
+from .aes import BLOCK_SIZE, decrypt_blocks, encrypt_blocks
 from .rng import Rng
 from .sbox import SBoxTable
 
@@ -132,45 +123,6 @@ _BS_CROSS_COLUMNS = np.flatnonzero(BS_CROSS)
 _BS_CROSS_COLUMNS.flags.writeable = False
 
 
-def _bs_paths(plaintexts, round_keys, table_a, table_b, shift_rows=True,
-              transient_b=None):
-    """Both paths' (n, 16) ciphertexts before the crossing.
-
-    The crossing moves whole last-round bytes and both paths then add
-    the same round-10 key, so it commutes with AddRoundKey and acts on
-    the ciphertexts.  transient_b=(position, value) overwrites one byte
-    of path B's pre-shift last-round state in every block: the
-    ciphertext byte that ShiftRows moves it to becomes value ^ k10 there.
-    With one table for both paths, path B is path A.
-    """
-    if transient_b is not None:
-        pos, value = transient_b
-        if not (0 <= pos < BLOCK_SIZE and 0 <= value <= 0xFF):
-            raise ValueError("transient_b must be a (position in 0..15, "
-                             f"byte value) pair, got {transient_b!r}")
-    path_a = encrypt_blocks(plaintexts, round_keys, table_a,
-                            shift_rows=shift_rows)
-    path_b = path_a
-    if table_b != table_a:
-        path_b = encrypt_blocks(plaintexts, round_keys, table_b,
-                                shift_rows=shift_rows)
-    if transient_b is not None:
-        j = INV_SHIFT_ROWS_PERM[pos] if shift_rows else pos
-        path_b = path_b.copy()
-        path_b[:, j] = value ^ round_keys[NUM_ROUNDS][j]
-    return path_a, path_b
-
-
-def _bs_output(own, other):
-    """One path's ciphertexts: its own bytes, except those the crossing
-    routes from the other path."""
-    if own is other:
-        return own
-    out = own.copy()
-    out[:, _BS_CROSS_COLUMNS] = other[:, _BS_CROSS_COLUMNS]
-    return out
-
-
 def bs_encrypt_blocks(
     plaintexts: np.ndarray,
     round_keys: list[bytes],
@@ -180,7 +132,13 @@ def bs_encrypt_blocks(
     shift_rows: bool = True,
 ) -> np.ndarray:
     """Path-B ciphertexts of a byte-scrambled encryption (the
-    adversary's view)."""
-    path_a, path_b = _bs_paths(plaintexts, round_keys, table_a, table_b,
-                               shift_rows)
-    return _bs_output(path_b, path_a)
+    adversary's view): path B's bytes, except those the crossing routes
+    from path A.  With one table for both paths, path B is path A."""
+    path_a = encrypt_blocks(plaintexts, round_keys, table_a,
+                            shift_rows=shift_rows)
+    if table_b == table_a:
+        return path_a
+    path_b = encrypt_blocks(plaintexts, round_keys, table_b,
+                            shift_rows=shift_rows)
+    path_b[:, _BS_CROSS_COLUMNS] = path_a[:, _BS_CROSS_COLUMNS]
+    return path_b

@@ -112,8 +112,3 @@ class Rng:
                 seen.add(x)
                 out.append(x)
         return out
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -5,12 +5,14 @@ repair the table is viewed as a 16x16 grid stored row-major: entry x
 sits at row x >> 4, column x & 0xF.  Neighbour moves wrap around both
 axes (a torus), so every entry has exactly four distinct neighbours.
 
-This is the only module that knows the grid.  The scalar moves
-up/down/left/right define it.  The lane moves
-lanes_up/lanes_down/lanes_left/lanes_right apply the same moves to a
+This is the only module that knows the grid.  The lane moves
+lanes_up/lanes_down/lanes_left/lanes_right define it: each moves a
 whole table at once, read by to_lanes as one 2048-bit int whose byte
-lane x holds entry x: lane x of lanes_up(t) holds lane up(x) of t, and
-so on.
+lane x holds entry x, so that lane x of lanes_down(t) holds the entry
+below x and lane x of lanes_right(t) the entry to its right.  The
+scalar moves up and left name one entry's upper and left neighbour,
+which the guard's closed-form vote needs: lane x of lanes_up(t) holds
+lane up(x) of t, and lane x of lanes_left(t) lane left(x).
 """
 
 from __future__ import annotations
@@ -64,23 +66,15 @@ class SBoxTable:
         return [x for x in range(256) if self.entries[x] != other.entries[x]]
 
 
-# Toroidal neighbours on the 16x16 grid.  Row moves are +/-16 mod 256;
-# column moves wrap within the low nibble.
+# Toroidal neighbours on the 16x16 grid.  A row move is -16 mod 256; a
+# column move wraps within the low nibble.
 
 def up(x: int) -> int:
     return (x - 16) & 0xFF
 
 
-def down(x: int) -> int:
-    return (x + 16) & 0xFF
-
-
 def left(x: int) -> int:
     return (x & 0xF0) | ((x - 1) & 0x0F)
-
-
-def right(x: int) -> int:
-    return (x & 0xF0) | ((x + 1) & 0x0F)
 
 
 # Lane x of a lane int is bits 8x..8x+7, so grid row r is the 128 bits

@@ -13,7 +13,8 @@ Two artifacts are derived from a table ahead of deployment:
   table over all single faults.  It finds no escape for the AES S-box
   or its inverse (with C alone, each has one, at entry 0x73), but it
   does for tables in general: five of the eight random permutations
-  that Rng seeds 0-7 shuffle have escapes even with C_hat.
+  that the tests' seeded shuffle draws from Rng seeds 0-7 have escapes
+  even with C_hat.
 
 * Redundant parity tables (H, V): byte-wise XOR of horizontally and
   vertically adjacent entries in the 16x16 grid view.  Any entry can be
@@ -187,11 +188,11 @@ def verify_detection(
 class RedundantTables:
     """Parity tables for neighbour reconstruction, as lane ints.
 
-    Byte lane x of h is table[x] ^ table[right(x)], and of v is
-    table[x] ^ table[down(x)], on the toroidal 16x16 grid (sbox.to_lanes
-    layout; sbox.from_lanes gives the 256 bytes).  They are assumed to
-    live in storage that the modelled fault does not reach; the fault
-    model targets the main table only.
+    Byte lane x of h is entry x XOR the entry to its right, and of v
+    entry x XOR the entry below it, on the toroidal 16x16 grid
+    (sbox.to_lanes layout; sbox.from_lanes gives the 256 bytes).  They
+    are assumed to live in storage that the modelled fault does not
+    reach; the fault model targets the main table only.
     """
 
     h: int

@@ -7,6 +7,8 @@ import pytest
 from pfalab import classic
 from pfalab.aes import (
     BLOCK_SIZE,
+    INV_SHIFT_ROWS_PERM,
+    NUM_ROUNDS,
     block_from_hex,
     encrypt,
     encrypt_blocks,
@@ -22,8 +24,6 @@ from pfalab.classic import (
     SHARED,
     ZCO,
     DmrConfig,
-    _bs_output,
-    _bs_paths,
     bs_encrypt_blocks,
     dmr_encrypt_blocks,
 )
@@ -60,12 +60,38 @@ def dmr_one(block, rk, faulted, cfg, rng=None):
     return "ok", out[0].tobytes(), bool(mismatch[0])
 
 
+def _crossed(own, other):
+    return bytes(o if cross else w
+                 for w, o, cross in zip(own, other, BS_CROSS))
+
+
 def bs_pair(block, rk, table_a, table_b, shift_rows=True, transient_b=None):
-    """Both path outputs of a byte-scrambled encryption of one block."""
-    path_a, path_b = _bs_paths(row(block), rk, table_a, table_b, shift_rows,
-                               transient_b)
-    return (_bs_output(path_a, path_b)[0].tobytes(),
-            _bs_output(path_b, path_a)[0].tobytes())
+    """Reference for both path outputs of a byte-scrambled encryption of
+    one block, built from two plain encryptions.
+
+    The crossing moves whole last-round bytes and both paths then add
+    the same round-10 key, so it acts on the two ciphertexts.
+    transient_b=(position, value) overwrites one byte of path B's
+    pre-shift last-round state: the ciphertext byte that ShiftRows moves
+    it to becomes value ^ k10 there.
+    """
+    path_a = encrypt(block, rk, table_a, shift_rows=shift_rows)
+    path_b = bytearray(encrypt(block, rk, table_b, shift_rows=shift_rows))
+    if transient_b is not None:
+        pos, value = transient_b
+        j = INV_SHIFT_ROWS_PERM[pos] if shift_rows else pos
+        path_b[j] = value ^ rk[NUM_ROUNDS][j]
+    return _crossed(path_a, path_b), _crossed(path_b, path_a)
+
+
+def bs_reference(pts, rk, table_a, table_b, shift_rows=True):
+    """bs_pair's path-A and path-B outputs for every row of pts, after
+    checking that bs_encrypt_blocks emits exactly the path-B ones."""
+    pairs = [bs_pair(pt.tobytes(), rk, table_a, table_b, shift_rows)
+             for pt in pts]
+    got = bs_encrypt_blocks(pts, rk, table_a, table_b, shift_rows=shift_rows)
+    assert [c.tobytes() for c in got] == [b for _, b in pairs]
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def test_dmr_config_validation():
@@ -202,10 +228,8 @@ def test_dmr_rco_draws_match_row_chunks():
 def test_bs_pristine_paths_match_plain_encryption():
     rng, _, rk = fresh_material(28)
     pts = blocks(rng, 200)
-    path_a, path_b = _bs_paths(pts, rk, AES_SBOX, AES_SBOX)
-    clean = encrypt_blocks(pts, rk)
-    assert (_bs_output(path_a, path_b) == clean).all()
-    assert (_bs_output(path_b, path_a) == clean).all()
+    clean = [c.tobytes() for c in encrypt_blocks(pts, rk)]
+    assert bs_reference(pts, rk, AES_SBOX, AES_SBOX) == (clean, clean)
 
 
 def test_bs_shared_fault_equals_plain_faulted_encryption():
@@ -222,10 +246,11 @@ def test_bs_swapping_tables_swaps_outputs():
     rng, _, rk = fresh_material(30)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     pts = blocks(rng, 100)
-    a1, b1 = _bs_paths(pts, rk, AES_SBOX, faulted)
-    a2, b2 = _bs_paths(pts, rk, faulted, AES_SBOX)
-    assert (_bs_output(a1, b1) == _bs_output(b2, a2)).all()
-    assert (_bs_output(b1, a1) == _bs_output(a2, b2)).all()
+    a1, b1 = bs_reference(pts, rk, AES_SBOX, faulted)
+    a2, b2 = bs_reference(pts, rk, faulted, AES_SBOX)
+    assert a1 == b2
+    assert b1 == a2
+    assert a1 != b1
 
 
 def _corrupt_one_byte(pt, rk, q):
@@ -274,22 +299,12 @@ def test_bs_with_one_shared_table_is_plain_encryption():
                         == want).all()
 
 
-def _crossed(own, other):
-    return bytes(o if cross else w
-                 for w, o, cross in zip(own, other, BS_CROSS))
-
-
 def test_bs_two_tables_or_a_transient_still_run_two_paths():
     rng, _, rk = fresh_material(36)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-    differed = 0
-    for _ in range(40):
-        pt = rng.randbytes(BLOCK_SIZE)
-        a, b = bs_pair(pt, rk, faulted, AES_SBOX)
-        c_a, c_b = encrypt(pt, rk, faulted), encrypt(pt, rk)
-        assert (a, b) == (_crossed(c_a, c_b), _crossed(c_b, c_a))
-        differed += a != b
-    assert differed
+    pts = blocks(rng, 40)
+    a, b = bs_reference(pts, rk, faulted, AES_SBOX)
+    assert a != b
     # One table for both paths, but a transient in path B.
     pt = rng.randbytes(BLOCK_SIZE)
     clean = encrypt(pt, rk, faulted)
@@ -303,10 +318,11 @@ def test_bs_two_tables_or_a_transient_still_run_two_paths():
 def test_bs_without_shiftrows_still_pairs_up():
     rng, _, rk = fresh_material(34)
     pts = blocks(rng, 50)
-    path_a, path_b = _bs_paths(pts, rk, AES_SBOX, AES_SBOX, shift_rows=False)
-    clean = encrypt_blocks(pts, rk, shift_rows=False)
-    assert (_bs_output(path_a, path_b) == clean).all()
-    assert (_bs_output(path_b, path_a) == clean).all()
+    clean = [c.tobytes() for c in encrypt_blocks(pts, rk, shift_rows=False)]
+    assert bs_reference(pts, rk, AES_SBOX, AES_SBOX, False) == (clean, clean)
+    faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    a, b = bs_reference(pts, rk, faulted, AES_SBOX, False)
+    assert a != b
 
 
 # Golden vectors recorded from the byte-at-a-time reference rounds that
@@ -358,10 +374,13 @@ def test_golden_digests_of_faulted_cases(faulted_cases):
     h = hashlib.sha256()
     for i, rk, block, table, _ in faulted_cases:
         for shift_rows in (True, False):
-            for pair in (bs_pair(block, rk, table, AES_SBOX, shift_rows),
-                         bs_pair(block, rk, AES_SBOX, table, shift_rows,
-                                 (i % 16, 37 * i % 256))):
-                h.update(b"".join(pair))
+            pair = bs_pair(block, rk, table, AES_SBOX, shift_rows)
+            cts = bs_encrypt_blocks(row(block), rk, table, AES_SBOX,
+                                    shift_rows=shift_rows)
+            assert cts[0].tobytes() == pair[1]
+            h.update(b"".join(pair))
+            h.update(b"".join(bs_pair(block, rk, AES_SBOX, table, shift_rows,
+                                      (i % 16, 37 * i % 256))))
     assert h.hexdigest() == \
         "1c9e3069a5bbf0e1a1d1f74f23c28ae345384f1073bccdc6ef93be7dcbcc54a0"
     h = hashlib.sha256()
@@ -375,15 +394,6 @@ def test_golden_digests_of_faulted_cases(faulted_cases):
                          + (ciphertext or b"-"))
     assert h.hexdigest() == \
         "d83cf4545403ffbe91704d7840fecefb00a8cbff5d26aebdcf5cbf7574e98531"
-
-
-@pytest.mark.parametrize("transient", [(-1, 0xA5), (16, 0xA5), (0, -1),
-                                       (0, 0x100)])
-def test_bs_rejects_transient_outside_the_block(transient):
-    rk = key_expand(FIPS_KEY)
-    with pytest.raises(ValueError, match="transient_b"):
-        _bs_paths(row(FIPS_PT), rk, AES_SBOX, AES_SBOX,
-                  transient_b=transient)
 
 
 def test_classic_calls_reject_malformed_blocks():

@@ -167,6 +167,15 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
                  "--out", str(tmp_path / "y")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    for flag, field in (("--n", "n_ciphertexts"), ("--trials", "n_trials"),
+                        ("--gap-threshold", "gap_threshold")):
+        out = tmp_path / field
+        assert main(["run", "--impl", "ori", flag, "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
@@ -277,6 +286,7 @@ def test_attack_search_refuses_a_true_key(tmp_path, capsys):
                  id="short-last-line"),
     pytest.param("00ff\n00112233445566778899aabbccddeeff\n", 1,
                  id="short-first-line"),
+    pytest.param("00112233445566778899aabbccddeeg\n", 1, id="non-hex"),
 ])
 def test_attack_rejects_bad_hex(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.txt"

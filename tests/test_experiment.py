@@ -46,6 +46,8 @@ def test_config_validation():
         ExperimentConfig(implementation="ori", curve_positions=(True,))
     with pytest.raises(ConfigError):
         ExperimentConfig(implementation="ori", n_trials=2, curve_trials=3)
+    with pytest.raises(ConfigError, match="curve_grid"):
+        ExperimentConfig(implementation="ori", curve_grid=0)
     for rounds in (0, 2.5, True):
         with pytest.raises(ConfigError):
             ExperimentConfig(implementation="dc", dc_max_rounds=rounds)

@@ -15,7 +15,9 @@ from pfalab.faults import (
     random_faults,
 )
 from pfalab.rng import Rng
-from pfalab.sbox import AES_SBOX, down, left, right, up
+from pfalab.sbox import AES_SBOX, left, up
+
+from helpers import down, right
 
 
 def spec_at(*cells) -> FaultSpec:

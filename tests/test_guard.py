@@ -27,18 +27,18 @@ from pfalab.rng import Rng, derive_seed
 from pfalab.sbox import (
     AES_SBOX,
     SBoxTable,
-    down,
     from_lanes,
     lanes_down,
     lanes_left,
     lanes_right,
     lanes_up,
     left,
-    right,
     to_lanes,
     up,
 )
 from pfalab.sbox_analysis import build_redundant_tables
+
+from helpers import down, right, shuffle
 
 
 def test_detect_pristine_table_is_quiet(pair):
@@ -96,7 +96,7 @@ def test_reconstruction_identity_on_pristine(tables):
     # Every parity check passes, so each entry's four reconstructions
     # equal the entry itself: the vote writes and leaves open no entry.
     entries = list(range(256))
-    Rng(16).shuffle(entries)
+    shuffle(Rng(16), entries)
     identity = SBoxTable(bytes(range(256)))
     for pristine in (AES_SBOX, identity, SBoxTable(entries)):
         parity = build_redundant_tables(pristine)
@@ -196,20 +196,41 @@ _ENTRY_ERRORS = st.one_of(_lane_errors(1), _lane_errors(4))
 _PARITY_ERRORS = st.one_of(st.just(0), _lane_errors(2))
 
 
+@st.composite
+def _lone_entry_with_a_perturbed_half(draw):
+    """(entry, v, h) errors: a lone entry error (x, e) plus parity errors
+    on x's two horizontal edges (or its two vertical ones), so that one
+    syndrome is x's half of the one-entry signature and the other is
+    not."""
+    x = draw(st.integers(0, 255))
+    e = draw(st.integers(1, 255))
+    near, far = draw(st.tuples(st.integers(0, 255),
+                               st.integers(0, 255)).filter(any))
+    if draw(st.booleans()):
+        return e << 8 * x, 0, near << 8 * x | far << 8 * left(x)
+    return e << 8 * x, near << 8 * x | far << 8 * up(x), 0
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(table=st.binary(min_size=256, max_size=256), errors=_ENTRY_ERRORS,
-       v_errors=_PARITY_ERRORS, h_errors=_PARITY_ERRORS)
-def test_a_clearing_write_leaves_no_syndrome(table, errors, v_errors,
-                                             h_errors):
+@given(table=st.binary(min_size=256, max_size=256),
+       pattern=st.one_of(
+           st.tuples(_ENTRY_ERRORS, _PARITY_ERRORS, _PARITY_ERRORS),
+           _lone_entry_with_a_perturbed_half()))
+def test_a_clearing_write_leaves_no_syndrome(table, pattern):
     # Any table, entry errors and parity faults: whenever the vote marks
-    # its write as clearing, a vote of the written table is (0, 0).
+    # its write as clearing, the written table fails no edge, and a vote
+    # of it is (0, 0).
+    errors, v_errors, h_errors = pattern
     parity = build_redundant_tables(SBoxTable(table))
     lanes = to_lanes(table) ^ errors
     v, h = parity.v ^ v_errors, parity.h ^ h_errors
     delta, unresolved, clears = _vote(lanes, v, h)
     if clears:
         assert unresolved == 0
-        assert _vote(lanes ^ delta, v, h) == (0, 0, True)
+        written = lanes ^ delta
+        assert written ^ lanes_down(written) == v
+        assert written ^ lanes_right(written) == h
+        assert _vote(written, v, h) == (0, 0, True)
 
 
 def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):

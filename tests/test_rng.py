@@ -91,12 +91,3 @@ def test_sample_distinct():
         assert len(picks) == 16
         assert len(set(picks)) == 16
         assert all(0 <= p < 256 for p in picks)
-
-
-def test_shuffle_is_a_permutation():
-    rng = Rng(9)
-    items = list(range(100))
-    shuffled = list(items)
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items
-    assert shuffled != items

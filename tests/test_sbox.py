@@ -5,20 +5,18 @@ from pfalab.sbox import (
     AES_SBOX,
     NotAPermutation,
     SBoxTable,
-    down,
     from_lanes,
     lanes_down,
     lanes_left,
     lanes_right,
     lanes_up,
     left,
-    right,
     to_lanes,
     up,
 )
 from pfalab.rng import Rng
 
-from helpers import with_entry
+from helpers import down, right, with_entry
 
 
 def test_standard_table_known_entries():

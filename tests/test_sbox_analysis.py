@@ -8,9 +8,7 @@ from pfalab.sbox import (
     AES_INV_SBOX,
     AES_SBOX,
     SBoxTable,
-    down,
     from_lanes,
-    right,
 )
 from pfalab.sbox_analysis import (
     DetectionPair,
@@ -23,10 +21,12 @@ from pfalab.sbox_analysis import (
     verify_detection,
 )
 
+from helpers import down, right, shuffle
+
 
 def random_permutation_table(seed: int) -> SBoxTable:
     entries = list(range(256))
-    Rng(seed).shuffle(entries)
+    shuffle(Rng(seed), entries)
     return SBoxTable(bytes(entries))
 
 

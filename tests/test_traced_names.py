@@ -71,10 +71,8 @@ def test_bs_calls_go_through_the_classic_names(monkeypatch):
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     classic.bs_encrypt_blocks(pts, rk, faulted, faulted)
     assert calls == {"encrypt_blocks": 1}
-    classic._bs_paths(pts[:1], rk, faulted, faulted, transient_b=(3, 0xA5))
-    assert calls == {"encrypt_blocks": 2}
     classic.bs_encrypt_blocks(pts, rk, faulted, AES_SBOX)
-    assert calls == {"encrypt_blocks": 4}
+    assert calls == {"encrypt_blocks": 3}
 
 
 def test_correct_rechecks_through_the_guard_name(monkeypatch, pair, tables):
