@@ -8,9 +8,10 @@ stay at 1/256.  The attacker therefore recovers k_j from the value that
 never appears, needing nothing but ciphertexts.
 
 Recovery is gated on the zero structure: a byte is reported only once
-its position shows exactly one never-seen value.  The count gap is
-tracked as confidence metadata, not as a gate; on a healthy (corrected)
-stream the unique-zero gate virtually never fires at all.
+its position shows exactly one never-seen value.  The count gap above
+that value is reported as measured, as confidence, and not thresholded;
+on a healthy (corrected) stream the unique-zero gate virtually never
+fires at all.
 
 Streams are (n, 16) uint8 arrays throughout.  The histogram is a plain
 (16, 256) int64 count array, one bincount per byte position: the counts
@@ -28,8 +29,6 @@ import numpy as np
 from .aes import BLOCK_SIZE
 from .sbox import AES_SBOX
 
-# The default count gap a recovered byte needs before it is confident.
-GAP_THRESHOLD = 5
 # A search top score below this, out of 16 positions, is inconclusive.
 INCONCLUSIVE_BELOW = 12
 
@@ -59,23 +58,15 @@ class KeyRecoveryResult:
     recovered holds a byte only where the position's zero structure is
     unambiguous.  confidence is the second-smallest count per position,
     the gap that must open above the missing value before the recovery
-    deserves trust; confident applies the gap threshold and additionally
-    requires the unique zero.
+    deserves trust.
     """
 
     recovered: tuple
-    v: int
-    v_star: int
     confidence: tuple
-    confident: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "k10": [b for b in self.recovered],
-            "v": self.v,
-            "v_star": self.v_star,
-            "confidence": list(self.confidence),
-        }
+        return {"k10": list(self.recovered),
+                "confidence": list(self.confidence)}
 
 
 def _check_indices(**indices: int) -> None:
@@ -85,39 +76,23 @@ def _check_indices(**indices: int) -> None:
                              f"got {value}")
 
 
-def recover_key_maxmin(
-    counts: np.ndarray,
-    v: int,
-    v_star: int,
-    gap_threshold: int = GAP_THRESHOLD,
-) -> KeyRecoveryResult:
+def recover_key_maxmin(counts: np.ndarray, v: int) -> KeyRecoveryResult:
     """Recover round-10 key bytes from the zeros of accumulate's counts.
 
     c_min is the least frequent value per position, ties broken toward
     the smaller value.  A key byte is reported when the position has
     exactly one zero-count value: that value must be S[v] XOR k_j, so
-    k_j = c_min XOR S[v].  v_star names the duplicated value's index; it
-    is checked and reported, and does not enter the recovery.
+    k_j = c_min XOR S[v].  The duplicated value does not enter the
+    recovery.
     """
-    _check_indices(v=v, v_star=v_star)
-    if v == v_star:
-        raise ValueError("v and v_star must differ")
-    # A bool or a fraction compares like a count but is not one.
-    if type(gap_threshold) is not int or gap_threshold < 1:
-        raise ValueError("gap_threshold must be an int of at least 1, "
-                         f"got {gap_threshold!r}")
+    _check_indices(v=v)
     c_min = counts.argmin(axis=1).tolist()
     zeros = np.count_nonzero(counts == 0, axis=1).tolist()
-    confidence = np.partition(counts, 1, axis=1)[:, 1].tolist()
     s_v = AES_SBOX[v]
     return KeyRecoveryResult(
         recovered=tuple(low ^ s_v if n_zeros == 1 else None
                         for low, n_zeros in zip(c_min, zeros)),
-        v=v,
-        v_star=v_star,
-        confidence=tuple(confidence),
-        confident=tuple(n_zeros == 1 and gap >= gap_threshold
-                        for n_zeros, gap in zip(zeros, confidence)),
+        confidence=tuple(np.partition(counts, 1, axis=1)[:, 1].tolist()),
     )
 
 

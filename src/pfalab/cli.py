@@ -16,7 +16,6 @@ import numpy as np
 
 from .aes import BLOCK_SIZE, block_from_hex
 from .attack import (
-    GAP_THRESHOLD,
     accumulate,
     histogram_csv,
     min_ciphertexts_to_recover,
@@ -123,9 +122,13 @@ def _cmd_attack(args) -> int:
             raise ValueError("--true-k10 needs --v/--v-star, not --search")
     elif args.v is None or args.v_star is None:
         raise ValueError("give either --search or both --v and --v-star")
-    if args.gap_threshold < 1:
-        raise ValueError("--gap-threshold must be at least 1, "
-                         f"got {args.gap_threshold}")
+    else:
+        for flag, value in (("--v", args.v), ("--v-star", args.v_star)):
+            if not 0 <= value <= 0xFF:
+                raise ValueError(f"{flag} must be a table index in 0..255, "
+                                 f"got {value}")
+        if args.v == args.v_star:
+            raise ValueError("--v and --v-star must differ")
     blocks = _read_blocks(args.ciphertexts)
     kept = blocks.any(axis=1) if args.zco_filter else None
     stream = blocks if kept is None else blocks[kept]
@@ -143,15 +146,12 @@ def _cmd_attack(args) -> int:
         }
     else:
         v, v_star = args.v, args.v_star
-    recovery = recover_key_maxmin(counts, v, v_star,
-                                  gap_threshold=args.gap_threshold)
-    output.update(recovery.to_json_dict())
-    output["confident"] = list(recovery.confident)
-    output["gap_threshold"] = args.gap_threshold
+    recovery = recover_key_maxmin(counts, v)
+    output.update(recovery.to_json_dict(), v=v, v_star=v_star)
     if args.true_k10 is not None:
         true_k10 = block_from_hex(args.true_k10)
-        # A wrong hypothesis still recovers 16 confident bytes, each off
-        # by S[v] XOR S[true v]; only the truth can tell them apart.
+        # A wrong hypothesis still recovers all 16 bytes, each off by
+        # S[v] XOR S[true v]; only the truth can tell them apart.
         output["n_correct"] = sum(1 for j, b in enumerate(recovery.recovered)
                                   if b == true_k10[j])
         output["min_ciphertexts"] = min_ciphertexts_to_recover(
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-scope", choices=CHOICES["fault_scope"])
     run.add_argument("--dc-rounds", dest="dc_max_rounds", type=int,
                      help="correction round budget per detection")
-    run.add_argument("--gap-threshold", type=int)
     run.add_argument("--curve-trials", type=int)
     # SUPPRESS would also drop store_true's False.
     run.add_argument("--check", action="store_true", default=False,
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--true-k10",
                         help="known round-10 key, for the minimum count "
                         "(needs --v/--v-star)")
-    attack.add_argument("--gap-threshold", type=int, default=GAP_THRESHOLD)
     attack.add_argument("--hist-out", help="write histogram CSV here")
     attack.add_argument("--out", help="write JSON here instead of stdout")
     attack.set_defaults(func=_cmd_attack)

@@ -32,7 +32,6 @@ from .aes import (
     key_expand,
 )
 from .attack import (
-    GAP_THRESHOLD,
     accumulate,
     min_ciphertexts_to_recover,
     recover_key_maxmin,
@@ -79,7 +78,7 @@ SINGLE_FAULT = "single_fault"
 MULTI_FAULT = "multi_fault"
 
 # Every record's "schema": the version of the records.jsonl line layout.
-RECORD_SCHEMA = 2
+RECORD_SCHEMA = 3
 
 
 class ConfigError(ValueError):
@@ -109,7 +108,6 @@ class ExperimentConfig:
     dmr_defense: str = ZCO
     fault_scope: str | None = None
     dc_max_rounds: int = 2
-    gap_threshold: int = GAP_THRESHOLD
     curve_trials: int = 1
     curve_positions: tuple = (0,)
     curve_grid: int = 100
@@ -125,8 +123,7 @@ class ExperimentConfig:
         # A bool or a float compares like an int but would be written to
         # config.json as such, or fail later inside a trial.
         for name in ("n_faults", "n_ciphertexts", "n_trials", "seed",
-                     "dc_max_rounds", "gap_threshold", "curve_trials",
-                     "curve_grid"):
+                     "dc_max_rounds", "curve_trials", "curve_grid"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an int")
         # Rng keeps a seed mod 2**64: a seed outside the range would
@@ -150,8 +147,6 @@ class ExperimentConfig:
                 raise ConfigError(f"bad key_hex: {exc}") from exc
         if self.dc_max_rounds < 1:
             raise ConfigError("dc_max_rounds must be at least 1")
-        if self.gap_threshold < 1:
-            raise ConfigError("gap_threshold must be at least 1")
         if not 0 <= self.curve_trials <= self.n_trials:
             raise ConfigError("curve_trials must be in 0..n_trials")
         try:
@@ -326,8 +321,7 @@ def run_trial(config: ExperimentConfig, trial: int):
     v_star = AES_INV_SBOX[e0]
 
     counts = accumulate(attack_stream)
-    recovery = recover_key_maxmin(counts, v, v_star,
-                                  gap_threshold=config.gap_threshold)
+    recovery = recover_key_maxmin(counts, v)
     min_ct = min_ciphertexts_to_recover(
         attack_stream, true_k10, v, kept=kept)
 
@@ -352,9 +346,7 @@ def run_trial(config: ExperimentConfig, trial: int):
         "n_emitted": int(public.shape[0]),
         "n_attack": n_attack,
         "min_ciphertexts": min_ct,
-        "not_reached": min_ct is None,
         "recovery": recovery.to_json_dict(),
-        "confident": [bool(flag) for flag in recovery.confident],
         "n_recovered": n_present,
         "n_correct": n_correct,
         "full_recovery": n_present == BLOCK_SIZE and n_correct == BLOCK_SIZE,

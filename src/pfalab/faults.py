@@ -38,6 +38,9 @@ CLUSTERED = "clustered"
 RANDOM_BYTE = "random_byte"
 BIT_FLIP = "bit_flip"
 
+# Scattered placements drawn before random_faults gives up.
+SCATTER_TRIES = 10_000
+
 
 class InvalidFault(ValueError):
     """The fault spec does not describe a real corruption of the table."""
@@ -141,7 +144,6 @@ def random_faults(
     n_faults: int,
     placement: str = SCATTERED,
     value_policy: str = RANDOM_BYTE,
-    max_tries: int = 10_000,
 ) -> FaultSpec:
     """Draw a random fault pattern of the requested shape for the AES
     S-box: every value differs from the entry it overwrites.
@@ -154,13 +156,14 @@ def random_faults(
     if not 1 <= n_faults <= 255:
         raise ValueError("n_faults must be in 1..255")
     if placement == SCATTERED:
-        for _ in range(max_tries):
+        for _ in range(SCATTER_TRIES):
             cells = rng.sample_distinct(256, n_faults)
             spec = _with_values(rng, cells, value_policy, placement)
             if classify_case(spec) == BEST:
                 return spec
         raise PlacementInfeasible(
-            f"no best-case scatter of {n_faults} faults in {max_tries} tries")
+            f"no best-case scatter of {n_faults} faults in {SCATTER_TRIES} "
+            "tries")
     if placement == CLUSTERED:
         cells = _clustered_indices(rng, n_faults)
         return _with_values(rng, cells, value_policy, placement)

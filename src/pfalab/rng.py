@@ -27,11 +27,18 @@ GAMMA = 0x9E3779B97F4A7C15
 RNG_ALGORITHM = "splitmix64-ctr-v2"
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + GAMMA) & MASK64
-    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
+def _mix(z):
+    """SplitMix64's output mix of a state: a Python int, or a uint64
+    array, mixed in place, whose wrapping arithmetic makes the masks
+    no-ops."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= MASK64
+    z ^= z >> 31
+    return z
 
 
 def derive_seed(seed: int, *labels: object) -> int:
@@ -48,10 +55,9 @@ def derive_seed(seed: int, *labels: object) -> int:
         else:
             data = b"s" + str(label).encode()
         for byte in data:
-            state, out = _splitmix64(state ^ byte)
-            state ^= out
-    _, out = _splitmix64(state)
-    return out
+            state = ((state ^ byte) + GAMMA) & MASK64
+            state ^= _mix(state)
+    return _mix((state + GAMMA) & MASK64)
 
 
 class Rng:
@@ -66,19 +72,14 @@ class Rng:
     def _words(self, n: int) -> np.ndarray:
         """The next n words, as u64() would give them, in one array."""
         z = np.arange(self._used + 1, self._used + n + 1, dtype=np.uint64)
-        z = z * GAMMA + self.seed
+        z *= GAMMA
+        z += self.seed
         self._used += n
-        z ^= z >> 30
-        z *= 0xBF58476D1CE4E5B9
-        z ^= z >> 27
-        z *= 0x94D049BB133111EB
-        z ^= z >> 31
-        return z
+        return _mix(z)
 
     def u64(self) -> int:
-        _, out = _splitmix64(self.seed + self._used * GAMMA)
         self._used += 1
-        return out
+        return _mix((self.seed + self._used * GAMMA) & MASK64)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection from the top 64 bits."""

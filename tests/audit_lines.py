@@ -9,7 +9,8 @@ in this one process, while
 
 * every pfalab command of .github/workflows/tests.yml runs through
   cli.main, the bad-input ones included (listed below by hand: keep
-  them in step with the workflow), and
+  them in step with the workflow), on the files the workflow writes,
+  among them its seeded single-fault stream, and
 * each benchmark workload of perfbench/workloads.py runs one toy-sized
   pass.
 
@@ -89,9 +90,33 @@ class Collector:
         return {name: set(lines) for name, lines in self.ran.items()}
 
 
+def write_stream(path: Path) -> str:
+    """The workflow's 3,000-block stream under S[0x42] = 0x00: write it
+    one block per line, and return the round-10 key as hex."""
+    import numpy as np
+
+    from pfalab.aes import encrypt_blocks, key_expand
+    from pfalab.faults import FaultSpec, inject
+    from pfalab.rng import Rng
+    from pfalab.sbox import AES_SBOX
+
+    rng = Rng(1)
+    round_keys = key_expand(rng.randbytes(16))
+    table = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    plaintexts = np.frombuffer(rng.randbytes(16 * 3000), dtype=np.uint8)
+    blocks = encrypt_blocks(plaintexts.reshape(3000, 16), round_keys, table)
+    path.write_text("".join(bytes(block).hex() + "\n" for block in blocks))
+    return round_keys[10].hex()
+
+
 def workflow_commands(tmp: Path) -> list[list[str]]:
     """The pfalab argv lists of .github/workflows/tests.yml."""
     out = str(tmp)
+    k10 = write_stream(tmp / "stream.txt")
+    # A blank line and padded lines take the line-by-line reader.
+    (tmp / "padded.txt").write_text("\n" + "".join(
+        f"  {line} \n"
+        for line in (tmp / "stream.txt").read_text().splitlines()))
     (tmp / "short.txt").write_text(
         "00112233445566778899aabbccddeeff\n00ff\n")
     (tmp / "not-utf8.txt").write_bytes(
@@ -124,18 +149,23 @@ def workflow_commands(tmp: Path) -> list[list[str]]:
         ["--impl", "dc", "--faults", "3", "--placement", "clustered",
          "--value-policy", "bit_flip", "--n", "300", "--trials", "3",
          "--seed", "7", "--key", "000102030405060708090a0b0c0d0e0f",
-         "--no-shiftrows", "--dc-rounds", "3", "--gap-threshold", "4",
-         "--curve-trials", "2", "--check"],
+         "--no-shiftrows", "--dc-rounds", "3", "--curve-trials", "2",
+         "--check"],
         # Bad input.
         ["--impl", "ori", "--faults", "24", "--trials", "1", "--n", "100"],
         ["--impl", "tmr"],
         ["--impl", "ori", "--n", "abc"],
         ["--impl", "ori", "--seed", "-1", "--trials", "1", "--n", "100"],
     ]
-    argvs = [["cost"], ["analyze-sbox"]]
+    argvs = [["cost"], ["analyze-sbox"], ["cost", "--out", f"{out}/cost.csv"],
+             ["analyze-sbox", "--out", f"{out}/sbox.json"]]
     argvs += [["run", *argv, "--out", f"{out}/run-{i}"]
               for i, argv in enumerate(runs)]
+    known = ["--v", "0x42", "--v-star", "0x52", "--true-k10", k10]
     argvs += [
+        ["attack", f"{out}/stream.txt", *known, "--out",
+         f"{out}/attack.json", "--hist-out", f"{out}/hist.csv"],
+        ["attack", f"{out}/padded.txt", *known],
         ["attack", "/nonexistent", "--search"],
         ["attack", f"{out}/short.txt", "--search"],
         ["attack", f"{out}/not-utf8.txt", "--search"],

@@ -73,27 +73,19 @@ def test_histogram_to_csv():
 
 
 def test_recovery_on_faulted_stream():
-    cts, k10, v, v_star = faulted_stream(62, 6000)
-    result = recover_key_maxmin(accumulate(cts), v, v_star)
+    cts, k10, v, _ = faulted_stream(62, 6000)
+    result = recover_key_maxmin(accumulate(cts), v)
     assert bytes(result.recovered) == k10
-    assert all(result.confident)
-    assert result.to_json_dict()["k10"] == list(k10)
-    assert result.to_json_dict()["v"] == v
-    assert result.to_json_dict()["v_star"] == v_star
+    # Every value but the missing one has been seen at least 5 times.
+    assert min(result.confidence) >= 5
+    assert result.to_json_dict() == {"k10": list(k10),
+                                     "confidence": list(result.confidence)}
 
 
 def test_recovery_refuses_uniform_stream():
     cts, _ = clean_stream(63, 10_000)
-    result = recover_key_maxmin(accumulate(cts), 0x42, AES_INV_SBOX[0x00])
+    result = recover_key_maxmin(accumulate(cts), 0x42)
     assert result.recovered == (None,) * 16
-    assert None in result.recovered
-    assert not any(result.confident)
-
-
-def test_recovery_rejects_equal_hypotheses():
-    cts, _ = clean_stream(64, 100)
-    with pytest.raises(ValueError):
-        recover_key_maxmin(accumulate(cts), 7, 7)
 
 
 def test_zero_values_shrink_to_the_missing_one():
@@ -175,29 +167,24 @@ def test_search_matches_tuple_sort_reference():
         assert not found.scores.flags.writeable
 
 
-def _recover_per_position(counts, v, v_star, gap_threshold):
+def _recover_per_position(counts, v):
     """The reference recovery: each position's minimum, zero count and
     second-smallest count read on its own."""
-    recovered, confidence, confident = [], [], []
+    recovered, confidence = [], []
     for row in counts:
         k1 = int(row.argmin()) ^ AES_SBOX[v]
         zeros = int((row == 0).sum())
-        second_smallest = int(np.partition(row, 1)[1])
         recovered.append(k1 if zeros == 1 else None)
-        confidence.append(second_smallest)
-        confident.append(zeros == 1 and second_smallest >= gap_threshold)
-    return tuple(recovered), tuple(confidence), tuple(confident)
+        confidence.append(int(np.partition(row, 1)[1]))
+    return tuple(recovered), tuple(confidence)
 
 
 def test_recover_key_maxmin_matches_per_position_reference():
     for counts in _search_oracle_histograms():
-        for v, v_star, gap_threshold in ((0x42, 0x07, 5), (0, 1, 1),
-                                         (0xFF, 0x3C, 2)):
-            got = recover_key_maxmin(counts, v, v_star,
-                                     gap_threshold=gap_threshold)
-            assert (got.recovered, got.confidence,
-                    got.confident) == _recover_per_position(
-                        counts, v, v_star, gap_threshold)
+        for v in (0x42, 0, 0xFF):
+            got = recover_key_maxmin(counts, v)
+            assert (got.recovered, got.confidence) == \
+                _recover_per_position(counts, v)
 
 
 def test_search_on_empty_histogram_scores_zero():
@@ -208,16 +195,10 @@ def test_search_on_empty_histogram_scores_zero():
     assert len(np.argwhere(found.scores == found.top_score)) == 256 * 255
 
 
-@pytest.mark.parametrize("v,v_star", [(-1, 3), (256, 3), (3, -1), (3, 256)])
-def test_recovery_rejects_out_of_range_index(v, v_star):
+@pytest.mark.parametrize("v", [-1, 256])
+def test_recovery_rejects_out_of_range_index(v):
     with pytest.raises(ValueError, match="0..255"):
-        recover_key_maxmin(EMPTY, v, v_star)
-
-
-@pytest.mark.parametrize("gap_threshold", [0, -3, 2.5, True])
-def test_recovery_rejects_a_gap_threshold_that_is_not_a_count(gap_threshold):
-    with pytest.raises(ValueError, match="gap_threshold"):
-        recover_key_maxmin(EMPTY, 1, 2, gap_threshold=gap_threshold)
+        recover_key_maxmin(EMPTY, v)
 
 
 @pytest.mark.parametrize("v", [-1, 256])

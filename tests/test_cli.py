@@ -140,7 +140,6 @@ def test_run_passes_every_flag(tmp_path, capsys):
         "--dmr-defense": ("dmr_defense", "rco"),
         "--fault-scope": ("fault_scope", "shared"),
         "--dc-rounds": ("dc_max_rounds", 3),
-        "--gap-threshold": ("gap_threshold", 4),
         "--curve-trials": ("curve_trials", 2),
     }
     want = dict(flags.values(), shift_rows=False)
@@ -167,8 +166,7 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
                  "--out", str(tmp_path / "y")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
-    for flag, field in (("--n", "n_ciphertexts"), ("--trials", "n_trials"),
-                        ("--gap-threshold", "gap_threshold")):
+    for flag, field in (("--n", "n_ciphertexts"), ("--trials", "n_trials")):
         out = tmp_path / field
         assert main(["run", "--impl", "ori", flag, "0",
                      "--out", str(out)]) == 1
@@ -212,8 +210,11 @@ def test_attack_with_known_hypothesis(stream_file, tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     output = json.loads(out.read_text())
+    assert set(output) == {"k10", "confidence", "v", "v_star", "n_correct",
+                           "min_ciphertexts"}
     assert output["k10"] == list(k10)
     assert output["v"] == 0x42
+    assert output["v_star"] == AES_INV_SBOX[0x00]
     assert 0 < output["min_ciphertexts"] <= 6000
     hist_lines = (tmp_path / "hist.csv").read_text().splitlines()
     assert hist_lines[0] == "position,value,count"
@@ -222,8 +223,8 @@ def test_attack_with_known_hypothesis(stream_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("v,v_star,n_correct", [
     (0x42, AES_INV_SBOX[0x00], 16),
-    # A wrong v still recovers 16 confident bytes, each off by
-    # S[0] ^ S[0x42]; only the count against the truth shows it.
+    # A wrong v still recovers all 16 bytes, each off by S[0] ^ S[0x42];
+    # only the count against the truth shows it.
     (0x00, 0x92, 0),
 ])
 def test_attack_counts_correct_bytes_against_a_true_key(
@@ -232,7 +233,7 @@ def test_attack_counts_correct_bytes_against_a_true_key(
     assert main(["attack", str(path), "--v", hex(v), "--v-star", hex(v_star),
                  "--true-k10", k10.hex()]) == 0
     output = json.loads(capsys.readouterr().out)
-    assert all(output["confident"])
+    assert None not in output["k10"]
     assert output["n_correct"] == n_correct
     assert output["n_correct"] == sum(
         1 for got, want in zip(output["k10"], k10) if got == want)
@@ -259,9 +260,13 @@ def test_attack_search_mode(stream_file, capsys):
 
 def test_attack_argument_errors(stream_file, capsys):
     path, _ = stream_file
-    assert main(["attack", str(path), "--v", "0x42"]) == 1
-    assert main(["attack", str(path), "--search", "--v", "1"]) == 1
-    capsys.readouterr()
+    for flags in (["--v", "0x42"], ["--search", "--v", "1"],
+                  ["--v", "7", "--v-star", "7"]):
+        assert main(["attack", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
 
 def test_attack_search_refuses_a_true_key(tmp_path, capsys):
@@ -375,32 +380,6 @@ def test_attack_rejects_out_of_range_index(stream_file, capsys, flag, value):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_attack_rejects_gap_threshold_below_one(stream_file, capsys, value):
-    path, _ = stream_file
-    argv = ["attack", str(path), "--search", "--gap-threshold", value]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --gap-threshold")
-    assert captured.err.count("\n") == 1
-
-
-def test_attack_reports_gap_threshold(stream_file, capsys):
-    path, _ = stream_file
-    argv = ["attack", str(path), "--v", "0x42",
-            "--v-star", hex(AES_INV_SBOX[0x00])]
-    assert main(argv) == 0
-    default = json.loads(capsys.readouterr().out)
-    assert default["gap_threshold"] == 5
-    assert default["confident"] == [True] * 16
-    assert main(argv + ["--gap-threshold", "9999"]) == 0
-    strict = json.loads(capsys.readouterr().out)
-    assert strict["gap_threshold"] == 9999
-    assert strict["confident"] == [False] * 16
-    assert strict["k10"] == default["k10"]
-
-
 def test_attack_missing_file_is_an_error(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert main(["attack", str(missing), "--search"]) == 1
@@ -457,7 +436,10 @@ def _in_process(argv, capsys):
     ["run", "--impl", "ori", "--n", "abc", "--out", "unused"],
     ["run", "--impl", "ori"],
     ["attack", "unused.txt", "--v", "zz", "--v-star", "1"],
-], ids=["bad-choice", "non-int", "missing-required", "bad-v-literal"])
+    ["run", "--impl", "ori", "--gap-threshold", "4", "--out", "unused"],
+    ["attack", "unused.txt", "--search", "--gap-threshold", "4"],
+], ids=["bad-choice", "non-int", "missing-required", "bad-v-literal",
+        "run-gap-threshold", "attack-gap-threshold"])
 def test_usage_error_is_one_line(argv, capsys):
     code, out, err = _in_process(argv, capsys)
     assert code == 1

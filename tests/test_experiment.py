@@ -54,7 +54,7 @@ def test_config_validation():
     # A bool or non-int count is rejected up front, not written to
     # config.json or left to fail inside a trial.
     for name in ("seed", "n_faults", "n_ciphertexts", "n_trials",
-                 "gap_threshold", "curve_trials", "curve_grid"):
+                 "curve_trials", "curve_grid"):
         for value in (True, 2.0, 2.5, "2"):
             with pytest.raises(ConfigError, match=name):
                 ExperimentConfig(implementation="ori", **{name: value})
@@ -137,9 +137,8 @@ def test_curves_only_on_tracked_trials():
 RECORD_KEYS = {
     "schema", "trial", "implementation", "scenario", "seed",
     "rng_algorithm", "key", "true_k10", "fault_spec", "fault_case", "v",
-    "v_star", "n_emitted", "n_attack", "min_ciphertexts", "not_reached",
-    "recovery", "confident", "n_recovered", "n_correct", "full_recovery",
-    "histogram"}
+    "v_star", "n_emitted", "n_attack", "min_ciphertexts", "recovery",
+    "n_recovered", "n_correct", "full_recovery", "histogram"}
 DEVICE_KEYS = {"ori": set(), "dmr": {"dmr_mismatches"}, "bs": set(),
                "dc": {"detected", "correction", "table_restored"},
                "dc_precorrect": {"table_restored"}}
@@ -150,7 +149,7 @@ SCHEMA_CASES["ori_4_faults"] = dict(n_faults=4)
 
 
 @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
-def test_records_follow_schema_2(case):
+def test_records_follow_schema_3(case):
     config = small(curve_trials=2, curve_positions=(0, 7),
                    **SCHEMA_CASES[case])
     result = run_experiment(config)
@@ -160,7 +159,8 @@ def test_records_follow_schema_2(case):
     assert records == result.records
     for record in records:
         assert set(record) == RECORD_KEYS | DEVICE_KEYS[config.implementation]
-        assert record["schema"] == 2
+        assert record["schema"] == 3
+        assert set(record["recovery"]) == {"k10", "confidence"}
         assert record["scenario"] == config.scenario
     # A tracked trial's counts are written to curves.csv alone.
     assert '"config"' not in files["records.jsonl"]
@@ -189,86 +189,87 @@ def _digests(result):
 
 # SHA-256 of records.jsonl and curves.csv.  The curves.csv digests are
 # of the per-row formatter's files; the records.jsonl ones are of schema
-# 2 records, which hold neither the config nor the curve rows.
+# 3 records, which hold neither the config nor the curve rows, nor a
+# field that restates another.
 GOLDEN = {
     "two_tracked_positions": (
         dict(curve_trials=2, curve_positions=(0, 7)),
-        "026369dc6fdea9e99f80a82c600a58c1d06710f02d723a7c0c22c56e5955a0ee",
+        "82d6b5f18aeed3da94ca463d04c73be57a76e408c2b1c8876b7e22f46beb2ecf",
         "3aa47e855a8570b54efdcfc4ddfb59eb2ebe706a6d214ef73650842726f84b67"),
     "dmr_nco_partial_grid": (
         dict(implementation="dmr", dmr_defense=NCO, curve_trials=2),
-        "c15aa7bc630fdde9707ddff71b1a54a5e3b993ec698575348c73d94637a412eb",
+        "e2d24a1b498d46cb8d21a0d9f0dd08343149bf07bebce3ddd253f04097836c3a",
         "6fe0aa3781c78a3ee611bc6135aa1ec9b064ee075ac75b0409788a88e61154b2"),
     "stream_below_grid": (
         dict(n_ciphertexts=150),
-        "e15d13793fe31d5d9f218f6f3babc96b1c7bc1cc30edf79ffb67acb8ab38471c",
+        "7961f7a5a614976b6c1699e5f164a65b5cff852e42f5a55debcbf4d46a21d992",
         "fd70025648cb285ac3c73a54e1d35140b8d4114627e2c4b05a5a671e30ae784d"),
     "untracked": (
         dict(curve_trials=0),
-        "026369dc6fdea9e99f80a82c600a58c1d06710f02d723a7c0c22c56e5955a0ee",
+        "82d6b5f18aeed3da94ca463d04c73be57a76e408c2b1c8876b7e22f46beb2ecf",
         "fd70025648cb285ac3c73a54e1d35140b8d4114627e2c4b05a5a671e30ae784d"),
     # One per device configuration, as the five-branch trial wrote them
     # before each --impl became its own device function.
     "bs_shared": (
         dict(implementation="bs", fault_scope=SHARED),
-        "10a9e6de4d013ea40e6858cb97a07c2addbcbdf258dcc906abdb9a9f4ed26d26",
+        "94c22d2f5ac32948568e6f308cb503fae733fa3aa9feb4ea4d0c73e438fc8640",
         "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
     "bs_module_one": (
         dict(implementation="bs", fault_scope=MODULE_ONE_ONLY),
-        "f83dfb2af71667effbfe285e3ec3cb23f5e077216e92274c2b407fe8ae8f6aeb",
+        "dca03f0f5503160e97e7336763b6191f427ea724c1b277324c1628d30514e822",
         "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
     "bs_module_one_no_shiftrows": (
         dict(implementation="bs", fault_scope=MODULE_ONE_ONLY,
              shift_rows=False),
-        "cf86877c1bbd8402dc1fd0033e5a1f0eefbeec92d5e39eff7262c7de089b8343",
+        "85be08648ca770f059ee90f9958976156bcffe1ef9178d2b452139b37771ab58",
         "6b270fbd816eb8492ca785c695df0feb22e44afc03218f8e659451a22fd9d018"),
     "dmr_zco": (
         dict(implementation="dmr", dmr_defense=ZCO),
-        "facf78478cb6069e384c9557a4190ccb81ece5d874849e09f3882a45e0206013",
+        "666d7ca9f33fecf7c2280b5363f49a087c2bcd780ee135844ba0d2cbfbe7df0b",
         "e993053c83b850be5b1f80ffd14b5610319e3a24c71bf93f918e0080e786a950"),
     "dmr_rco": (
         dict(implementation="dmr", dmr_defense=RCO),
-        "0f7c3cd0e6bd47db6a23521b106bd5527e9a854e042728d63d5b9afe90a0e901",
+        "a623a2bdb93a5cc30ac67b9877ee9eeb5d2040c994e0235302b0518f9a468ba0",
         "d1de6b9a489e924ca8fc087eeafc6a23005e9bbeaf2e7cdfcf896f7a8fa2f32d"),
     "dmr_iddmr": (
         dict(implementation="dmr", dmr_mode=IDDMR),
-        "facf78478cb6069e384c9557a4190ccb81ece5d874849e09f3882a45e0206013",
+        "666d7ca9f33fecf7c2280b5363f49a087c2bcd780ee135844ba0d2cbfbe7df0b",
         "e993053c83b850be5b1f80ffd14b5610319e3a24c71bf93f918e0080e786a950"),
     "dmr_shared_scope": (
         dict(implementation="dmr", fault_scope=SHARED),
-        "7969eef668b40b92a7bc76308fbcf4c1befedb30bbae26e11cc349074fbe746e",
+        "750968c6696b686705ec75440458308c56aeb24437f609235ef4a7f07c8b323d",
         "508ebcf1f019590c5bd80f8cf80efdd42b0ff86580a252dc53b05c1530168135"),
     "dmr_iddmr_rco_3_faults": (
         dict(implementation="dmr", dmr_mode=IDDMR, dmr_defense=RCO,
              n_faults=3),
-        "283e668d84297156f0b0011e3e1b6a334ef4150df96b841f0692d5d8b169249d",
+        "aa69dcb33aa498792db295f2c8650261f532926b3e60e9e8e70579d9105b9528",
         "61f536740b9fb1b33af2da3ee4c30f375e4cb1bc751c171ca426a912831e74ca"),
     "dc": (
         dict(implementation="dc"),
-        "bcdf0323f240679fa3d81a5bccfaad29d87cb2a5692f4a888d4fa7276737d345",
+        "23713e64440b26d2262169318696f6734224163083fcce19c3714052056ba23b",
         "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
     "dc_9_clustered_2_rounds": (
         dict(implementation="dc", n_faults=9, placement=CLUSTERED,
              dc_max_rounds=2),
-        "9c9dc786b204a8e71d23605544fd6d04f21949bc4a33888cd290f3454d88f221",
+        "db38614bd765fc9104e7ba72bab290a4a77d46c52a78b292b6f8e3d67d725a3a",
         "9bef2c713618fb1fe004ca2a2859e17e1b2d25082e737b84a0da3ebbc4de87e1"),
     "dc_9_clustered_16_rounds": (
         dict(implementation="dc", n_faults=9, placement=CLUSTERED,
              dc_max_rounds=16),
-        "bba0537ecf1a487ec5c4a8abf8bb19368f3ca910822145bde899a8127aa1855a",
+        "6e5f12294ccfee5d6f5967914ac0045d5e54da75fa559d07bf57c528d330bf5e",
         "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
     "dc_precorrect": (
         dict(implementation="dc_precorrect"),
-        "a01a451d39861f85febab3c2b7479322eaeb124787f275e255763f8fd5e05eb6",
+        "24201a0550cd1d68bf9043e27895f71807928b7289f30f09e43cfd73fecdf88a",
         "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
     "dc_precorrect_4_bit_flips": (
         dict(implementation="dc_precorrect", n_faults=4,
              value_policy=BIT_FLIP),
-        "79e0835d343ed2579425376205abe2a377a8ef46d9c4ea5cb3150ea232b5f9b7",
+        "550a0a0ff9f0955eaaaa99142305bf239d8c53d22345bf5121aea507d32f2990",
         "899047f66b00d502c9cb1e0ed858e103e262ccb94254459c92aca161567d9b95"),
     "ori_no_shiftrows": (
         dict(shift_rows=False),
-        "ce0a727916c0b034fee8725e62326c3725d03bbc31a32dfcc9028d21b4cec700",
+        "97360eea967c51bad8c6a7fb545528eb8eef78cf526dd659d937110f8cfb97a8",
         "6b270fbd816eb8492ca785c695df0feb22e44afc03218f8e659451a22fd9d018"),
 }
 
@@ -298,7 +299,7 @@ def test_exponent_probabilities_match_golden_digests():
     assert "1e-06" in curves
     records = render_files(run_experiment(small(n_trials=2)))["records.jsonl"]
     assert (_sha256(records), _sha256(curves)) == (
-        "a4d7ed2b747f92a8764ff592f3465e8f96bae510ae139ab83199a9ea368d6e09",
+        "8de2056202c1a122ffb54c119ff5804fbbd4fb92da93e047dfc0ab0e8f96d1d2",
         "858f5fedeb0b02cb52ab22ffc83ae3dc91ac82c2839edc9b7c3144877a1660e8")
 
 
@@ -418,21 +419,14 @@ def test_dmr_defenses_shape_the_emitted_stream():
 @pytest.mark.parametrize("implementation,n", [("ori", 3000), ("dmr", 5000)])
 def test_records_rescore_from_their_stored_histogram(implementation, n):
     config = small(implementation=implementation, n_ciphertexts=n,
-                   n_trials=1, gap_threshold=4)
-    files = render_files(run_experiment(config))
-    r = json.loads(files["records.jsonl"])
-    gap_threshold = json.loads(files["config.json"])["gap_threshold"]
-    assert gap_threshold == 4
+                   n_trials=1)
+    r = json.loads(render_files(run_experiment(config))["records.jsonl"])
     counts = np.array(r["histogram"]["counts"])
     assert (counts.sum(axis=1) == r["histogram"]["n"]).all()
     assert r["histogram"]["n"] == r["n_attack"]
     assert (r["n_attack"] < r["n_emitted"]) == (implementation == "dmr")
-    again = recover_key_maxmin(counts, r["v"], r["v_star"],
-                               gap_threshold=gap_threshold)
+    again = recover_key_maxmin(counts, r["v"])
     assert again.to_json_dict() == r["recovery"]
-    assert list(again.confident) == r["confident"]
-    # Neither all nor none of the bytes pass, so the gate is exercised.
-    assert 0 < sum(r["confident"]) < 16
 
 
 def test_fixed_key_applies_to_every_trial():

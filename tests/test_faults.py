@@ -1,5 +1,6 @@
 import pytest
 
+from pfalab import faults
 from pfalab.faults import (
     AVERAGE,
     BEST,
@@ -164,9 +165,10 @@ def test_random_faults_accepts_rng_instance():
     assert spec_a == spec_b
 
 
-def test_scattered_infeasible_raises():
-    with pytest.raises(PlacementInfeasible):
-        random_faults(Rng(1), 200, placement=SCATTERED, max_tries=30)
+def test_scattered_infeasible_raises(monkeypatch):
+    monkeypatch.setattr(faults, "SCATTER_TRIES", 30)
+    with pytest.raises(PlacementInfeasible, match=" in 30 tries$"):
+        random_faults(Rng(1), 200, placement=SCATTERED)
 
 
 def test_fault_count_bounds():
