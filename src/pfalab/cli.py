@@ -129,6 +129,12 @@ def _cmd_attack(args) -> int:
                                  f"got {value}")
         if args.v == args.v_star:
             raise ValueError("--v and --v-star must differ")
+    true_k10 = None
+    if args.true_k10 is not None:
+        try:
+            true_k10 = block_from_hex(args.true_k10)
+        except ValueError as exc:
+            raise ValueError(f"--true-k10: {exc}") from None
     blocks = _read_blocks(args.ciphertexts)
     kept = blocks.any(axis=1) if args.zco_filter else None
     stream = blocks if kept is None else blocks[kept]
@@ -148,8 +154,7 @@ def _cmd_attack(args) -> int:
         v, v_star = args.v, args.v_star
     recovery = recover_key_maxmin(counts, v)
     output.update(recovery.to_json_dict(), v=v, v_star=v_star)
-    if args.true_k10 is not None:
-        true_k10 = block_from_hex(args.true_k10)
+    if true_k10 is not None:
         # A wrong hypothesis still recovers all 16 bytes, each off by
         # S[v] XOR S[true v]; only the truth can tell them apart.
         output["n_correct"] = sum(1 for j, b in enumerate(recovery.recovered)

@@ -282,6 +282,21 @@ def test_attack_search_refuses_a_true_key(tmp_path, capsys):
                             "not --search\n")
 
 
+@pytest.mark.parametrize("readable", [False, True])
+def test_attack_checks_the_true_key_before_the_file(
+        stream_file, tmp_path, capsys, readable):
+    # A malformed key is refused by name, whether or not the stream
+    # could be read.
+    path = stream_file[0] if readable else tmp_path / "missing.txt"
+    argv = ["attack", str(path), "--v", "0x42", "--v-star", "0x52",
+            "--true-k10", "zz"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --true-k10: expected 32 lowercase hex "
+                            "chars, got 'zz'\n")
+
+
 # The last two texts' hex bytes are not a whole number of blocks.  hex()
 # counts its separators from the right, so a short first line would read
 # back as one block per line were the length left unchecked.
