@@ -94,6 +94,14 @@ def block_to_hex(block: bytes) -> str:
     return block.hex()
 
 
+def nonzero_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Bool mask of the rows of an (n, 16) uint8 array that are not all
+    zero, read as two uint64 words per block (a word is zero exactly
+    when its eight bytes are, whatever the byte order)."""
+    words = np.ascontiguousarray(blocks).view(np.uint64)
+    return (words[:, 0] | words[:, 1]) != 0
+
+
 def _schedule_step(word: bytes, previous: bytes, i: int) -> bytes:
     """word XOR T(previous), where T is RotWord, SubWord and the XOR of
     Rcon when schedule word i starts a round key, and the identity

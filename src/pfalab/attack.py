@@ -32,6 +32,10 @@ from .sbox import AES_SBOX
 # A search top score below this, out of 16 positions, is inconclusive.
 INCONCLUSIVE_BELOW = 12
 
+# The minimum-count scan's first chunk, in blocks: about the stream
+# prefix that one fault needs (median about 2,200).
+_FIRST_CHUNK = 2048
+
 
 def accumulate(ciphertexts: np.ndarray) -> np.ndarray:
     """Per-position value counts of an (n, 16) uint8 ciphertext stream:
@@ -161,9 +165,13 @@ def min_ciphertexts_to_recover(
     Equivalent to re-running the recovery after every block: position j
     reports the true byte exactly when its one missing value is
     S[v] XOR k_j, which holds from the moment the last other value has
-    been seen until (if ever) the companion value itself shows up.  Both
-    moments are functions of each value's first occurrence, so one pass
-    suffices.
+    been seen until (if ever) that value itself shows up.  Both moments
+    are functions of each value's first occurrence.  The scan records
+    first occurrences chunk by chunk, the first chunk _FIRST_CHUNK
+    blocks long and each later one as long as all before it, and stops
+    once the answer is settled: when every position has seen its 255
+    other values, or when a missing value shows up before that.  Each
+    block is read at most once.
     """
     _check_indices(v=v)
     if len(true_round10_key) != BLOCK_SIZE:
@@ -174,25 +182,38 @@ def min_ciphertexts_to_recover(
         raise ValueError("expected an (n, 16) array of blocks")
     if kept is None:
         kept = np.ones(blocks.shape[0], dtype=bool)
-    n = kept.shape[0]
     positions = np.flatnonzero(kept) + 1
     if positions.shape[0] != blocks.shape[0]:
         raise ValueError(f"kept selects {positions.shape[0]} blocks, "
                          f"got {blocks.shape[0]}")
-    never = n + 1
-    first_seen = np.full((BLOCK_SIZE, 256), never, dtype=np.int64)
-    for j in range(BLOCK_SIZE):
-        # Assign in reverse so the earliest occurrence lands last.
-        first_seen[j, blocks[::-1, j]] = positions[::-1]
+    never = kept.shape[0] + 1
+    rows = np.arange(BLOCK_SIZE)
     targets = np.array([AES_SBOX[v] ^ k for k in true_round10_key])
-    target_first = first_seen[np.arange(BLOCK_SIZE), targets]
-    # Latest first-occurrence among the other 255 values, per position.
-    first_seen[np.arange(BLOCK_SIZE), targets] = -1
-    others_done = first_seen.max(axis=1)
-    reached_at = int(others_done.max())
-    if reached_at > n:
-        return None
-    if not (target_first > reached_at).all():
-        return None
-    return reached_at
-
+    # The targets' cells hold -1, so the maximum is the moment the last
+    # other value first appeared at its position.
+    first_seen = np.full((BLOCK_SIZE, 256), never, dtype=np.int64)
+    first_seen[rows, targets] = -1
+    target_first = np.full(BLOCK_SIZE, never, dtype=np.int64)
+    start = 0
+    while start < blocks.shape[0]:
+        stop = max(2 * start, _FIRST_CHUNK)
+        chunk = blocks[start:stop][::-1]
+        at = positions[start:stop][::-1]
+        chunk_first = np.full((BLOCK_SIZE, 256), never, dtype=np.int64)
+        for j in range(BLOCK_SIZE):
+            # Assign in reverse so the earliest occurrence lands last.
+            chunk_first[j, chunk[:, j]] = at
+        np.minimum(first_seen, chunk_first, out=first_seen)
+        np.minimum(target_first, chunk_first[rows, targets],
+                   out=target_first)
+        reached_at = int(first_seen.max())
+        if reached_at < never:
+            # A target not seen yet appears after this chunk, so after
+            # reached_at.
+            return reached_at if (target_first > reached_at).all() else None
+        if (target_first < never).any():
+            # Some other value is still missing, so reached_at lies
+            # beyond this target's appearance.
+            return None
+        start = stop
+    return None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aes import BLOCK_SIZE, decrypt_blocks, encrypt_blocks
+from .aes import BLOCK_SIZE, decrypt_blocks, encrypt_blocks, nonzero_blocks
 from .rng import Rng
 from .sbox import SBoxTable
 
@@ -99,11 +99,11 @@ def dmr_encrypt_blocks(
         table2 = faulted_table if cfg.fault_scope == SHARED else pristine_table
         c2 = c1 if table2 == faulted_table else encrypt_blocks(
             plaintexts, round_keys, table2, shift_rows=shift_rows)
-        mismatch = (c1 != c2).any(axis=1)
+        mismatch = nonzero_blocks(c1 ^ c2)
     else:
         back = decrypt_blocks(c1, round_keys, pristine_table.inverse(),
                               shift_rows=shift_rows)
-        mismatch = (back != plaintexts).any(axis=1)
+        mismatch = nonzero_blocks(back ^ plaintexts)
     if cfg.defense == ZCO:
         c1[mismatch] = 0
     elif cfg.defense == RCO:

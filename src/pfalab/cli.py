@@ -7,6 +7,7 @@ when a --check verification fails.
 from __future__ import annotations
 
 import argparse
+import binascii
 import functools
 import json
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aes import BLOCK_SIZE, block_from_hex
+from .aes import BLOCK_SIZE, block_from_hex, nonzero_blocks
 from .attack import (
     accumulate,
     histogram_csv,
@@ -83,30 +84,49 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# A canonical stream file is a whole number of these lines: 32 lowercase
+# hex digits and a newline.
+_LINE = 2 * BLOCK_SIZE + 1
+_UPPER_HEX = tuple(bytes([c]) for c in b"ABCDEF")
+
+
 def _read_blocks(path: str) -> np.ndarray:
-    # read_text turns CRLF into LF.  fromhex skips whitespace and takes
-    # uppercase digits, so only the round trip back to one block per
-    # line admits the canonical layout.  hex() counts its separators
-    # from the right, so without the length check a short first line
-    # would pass it.  Any other layout is read line by line.
+    """The (n, 16) uint8 blocks of a file of hex blocks, one per line.
+
+    A file in the canonical layout is read from its bytes in one pass:
+    the newline ending each 33-byte row is checked on the byte array,
+    unhexlify decodes the digits and refuses any that are not hex, and
+    one check refuses uppercase.  Any other file (CRLF or lone CR line
+    ends, blank or padded lines, a missing final newline, or a bad
+    line) goes to the line-by-line reader, which gives the same blocks
+    or names the first bad line as path:line.
+    """
+    data = Path(path).read_bytes()
+    if data and not len(data) % _LINE:
+        lines = np.frombuffer(data, dtype=np.uint8).reshape(-1, _LINE)
+        digits = lines[:, :-1].tobytes()
+        # unhexlify takes uppercase digits too.
+        if ((lines[:, -1] == ord("\n")).all()
+                and not any(c in digits for c in _UPPER_HEX)):
+            try:
+                decoded = binascii.unhexlify(digits)
+            except binascii.Error:
+                pass  # a digit that is not hex; its line is named below
+            else:
+                return np.frombuffer(decoded, dtype=np.uint8).reshape(
+                    -1, BLOCK_SIZE)
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    try:
-        data = bytes.fromhex(text)
-    except ValueError:
-        data = b""
-    if (len(data) % BLOCK_SIZE
-            or text != data.hex("\n", BLOCK_SIZE) + "\n"):
-        blocks = []
-        for line_no, line in enumerate(text.splitlines(), 1):
-            if line := line.strip():
-                try:
-                    blocks.append(block_from_hex(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from exc
-        data = b"".join(blocks)
+    blocks = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line := line.strip():
+            try:
+                blocks.append(block_from_hex(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    data = b"".join(blocks)
     if not data:
         raise ValueError(f"{path}: no ciphertext blocks")
     return np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
@@ -136,7 +156,7 @@ def _cmd_attack(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--true-k10: {exc}") from None
     blocks = _read_blocks(args.ciphertexts)
-    kept = blocks.any(axis=1) if args.zco_filter else None
+    kept = nonzero_blocks(blocks) if args.zco_filter else None
     stream = blocks if kept is None else blocks[kept]
     counts = accumulate(stream)
     output = {}

@@ -30,6 +30,7 @@ from .aes import (
     block_from_hex,
     encrypt_blocks,
     key_expand,
+    nonzero_blocks,
 )
 from .attack import (
     accumulate,
@@ -313,7 +314,7 @@ def run_trial(config: ExperimentConfig, trial: int):
     public, extras = _DEVICES[config.implementation](
         config, round_keys, faulted, plaintexts, rco_rng)
     zco_filter = config.implementation == DMR and config.dmr_defense == ZCO
-    kept = public.any(axis=1) if zco_filter else None
+    kept = nonzero_blocks(public) if zco_filter else None
     attack_stream = public if kept is None else public[kept]
 
     x0, e0 = spec.faults[0]

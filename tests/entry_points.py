@@ -46,6 +46,16 @@ def n_correct(text: str) -> int:
     return json.loads(text)["n_correct"]
 
 
+def min_ciphertexts(text: str) -> int | None:
+    return json.loads(text)["min_ciphertexts"]
+
+
+def after_file_name(text: str) -> str:
+    """What follows the first .txt name, which holds the temporary
+    directory's path."""
+    return text.partition(".txt")[2]
+
+
 def one_clean_line(stderr: str) -> bool:
     return stderr.count("\n") == 1 and "Traceback" not in stderr
 
@@ -114,6 +124,7 @@ OK = ("exit", exact, 0)
 REJECTED = (("exit", exact, 1), ("stderr", one_clean_line, True))
 # 3,000 blocks under S[0x42] = 0x00 (v* = 0x52) recover the whole key.
 KNOWN = "--v 0x42 --v-star 0x52 --true-k10 {k10}"
+ZCO_MIN_CIPHERTEXTS = 4623
 
 COMMANDS = [
     Command("cost", (OK, ("stdout", exact, COST))),
@@ -132,11 +143,21 @@ COMMANDS = [
     # A blank line and padded lines take the line-by-line reader.
     Command(f"attack {{tmp}}/padded.txt {KNOWN}",
             (OK, ("stdout", exact, lambda read: read("attack.json")))),
+    # Behind a zero-on-mismatch device the zero blocks are dropped from
+    # the histogram but still counted.
+    Command(f"attack {{tmp}}/zco.txt --zco-filter {KNOWN}",
+            (OK, ("stdout", n_correct, 16),
+             ("stdout", min_ciphertexts, ZCO_MIN_CIPHERTEXTS))),
     Command("run --impl ori --faults 24 --trials 1 --n 100"
             " --out {tmp}/infeasible", REJECTED),
     Command("attack /nonexistent --search", REJECTED),
     Command("attack {tmp}/short.txt --search", REJECTED),
     Command("attack {tmp}/not-utf8.txt --search", REJECTED),
+    # A canonical layout with a digit that is not hex names its line.
+    Command("attack {tmp}/not-hex.txt --search",
+            (("exit", exact, 1), ("stderr", after_file_name,
+             ":2: expected 32 lowercase hex chars, got "
+             "'00112233445566778899aabbccddeeg0'\n"))),
     Command("attack {tmp}/one-block.txt --search"
             " --true-k10 00112233445566778899aabbccddeeff", REJECTED),
     # A malformed key is refused by name, before the stream is read.
@@ -159,6 +180,7 @@ def write_inputs(tmp: Path) -> str:
     import numpy as np
 
     from pfalab.aes import encrypt_blocks, key_expand
+    from pfalab.classic import ZCO, DmrConfig, dmr_encrypt_blocks
     from pfalab.faults import FaultSpec, inject
     from pfalab.rng import Rng
     from pfalab.sbox import AES_SBOX
@@ -172,9 +194,16 @@ def write_inputs(tmp: Path) -> str:
     (tmp / "stream.txt").write_text("".join(f"{line}\n" for line in lines))
     (tmp / "padded.txt").write_text(
         "\n" + "".join(f"  {line} \n" for line in lines))
+    # The same key and fault behind REDMR with ZCO, 8,000 blocks.
+    plaintexts = np.frombuffer(rng.randbytes(16 * 8000), dtype=np.uint8)
+    blocks, _ = dmr_encrypt_blocks(plaintexts.reshape(8000, 16), round_keys,
+                                   AES_SBOX, table, DmrConfig(defense=ZCO))
+    (tmp / "zco.txt").write_text(
+        "".join(f"{bytes(block).hex()}\n" for block in blocks))
     block = "00112233445566778899aabbccddeeff"
     (tmp / "short.txt").write_text(f"{block}\n00ff\n")
     (tmp / "not-utf8.txt").write_bytes(b"\xff" + block.encode() + b"\n")
+    (tmp / "not-hex.txt").write_text(f"{block}\n{block[:-2]}g0\n")
     (tmp / "one-block.txt").write_text(f"{block}\n")
     return round_keys[10].hex()
 

@@ -1,6 +1,8 @@
-"""Table, grid and permutation helpers the tests share."""
+"""Table, grid, permutation and stream helpers the tests share."""
 
-from pfalab.sbox import SBoxTable
+import numpy as np
+
+from pfalab.sbox import AES_SBOX, SBoxTable
 
 
 def with_entry(table: SBoxTable, x: int, value: int) -> SBoxTable:
@@ -31,3 +33,22 @@ def shuffle(rng, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def min_ct_by_replay(blocks, k10, v, zco_filter=False):
+    """Literal re-evaluation after every block, the slow oracle."""
+    counts = np.zeros((16, 256), dtype=np.int64)
+    positions = np.arange(16)
+    for i in range(blocks.shape[0]):
+        block = blocks[i]
+        if not (zco_filter and not block.any()):
+            counts[positions, block] += 1
+        done = True
+        for j in range(16):
+            zeros = np.flatnonzero(counts[j] == 0)
+            if len(zeros) != 1 or zeros[0] ^ AES_SBOX[v] != k10[j]:
+                done = False
+                break
+        if done:
+            return i + 1
+    return None

@@ -20,6 +20,7 @@ from pfalab.aes import (
     encrypt_blocks,
     inverse_key_expand,
     key_expand,
+    nonzero_blocks,
 )
 from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
@@ -64,6 +65,33 @@ def test_block_hex_round_trip():
         block_from_hex("00")
     with pytest.raises(ValueError):
         block_from_hex("zz" * 16)
+
+
+def _one_byte_rows():
+    rows = np.zeros((BLOCK_SIZE, BLOCK_SIZE), dtype=np.uint8)
+    rows[np.arange(BLOCK_SIZE), np.arange(BLOCK_SIZE)] = 0x80
+    return rows
+
+
+_WIDE = np.random.default_rng(8).integers(0, 256, (40, 40), dtype=np.uint8)
+_WIDE[::3] = 0
+
+
+@pytest.mark.parametrize("blocks", [
+    pytest.param(np.random.default_rng(7).integers(
+        0, 256, (300, BLOCK_SIZE), dtype=np.uint8), id="random"),
+    # One nonzero byte, at each of the 16 positions in turn.
+    pytest.param(_one_byte_rows(), id="one-byte"),
+    pytest.param(np.zeros((5, BLOCK_SIZE), dtype=np.uint8), id="all-zero"),
+    pytest.param(np.zeros((0, BLOCK_SIZE), dtype=np.uint8), id="empty"),
+    # Rows 40 bytes apart, starting 3 bytes in: a view that is neither
+    # contiguous nor word-aligned.
+    pytest.param(_WIDE[:, 3:3 + BLOCK_SIZE], id="strided-view"),
+])
+def test_nonzero_blocks_matches_any(blocks):
+    mask = nonzero_blocks(blocks)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, blocks.any(axis=1))
 
 
 def test_encrypt_decrypt_inverse():

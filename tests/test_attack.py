@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
+from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand, nonzero_blocks
 from pfalab.attack import (
     accumulate,
     histogram_csv,
@@ -12,6 +12,8 @@ from pfalab.attack import (
 from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
+
+from helpers import min_ct_by_replay
 
 # The counts of a stream without blocks.
 EMPTY = np.zeros((BLOCK_SIZE, 256), dtype=np.int64)
@@ -215,32 +217,73 @@ def test_min_ciphertexts_rejects_wrong_key_length(length):
         min_ciphertexts_to_recover(blocks, bytes(length), 1)
 
 
-def _min_ct_by_replay(blocks, k10, v, zco_filter=False):
-    """Literal re-evaluation after every block, the slow oracle."""
-    counts = np.zeros((16, 256), dtype=np.int64)
-    for i in range(blocks.shape[0]):
-        block = blocks[i]
-        if not (zco_filter and not block.any()):
-            for j in range(16):
-                counts[j, block[j]] += 1
-        done = True
-        for j in range(16):
-            zeros = np.flatnonzero(counts[j] == 0)
-            if len(zeros) != 1 or zeros[0] ^ AES_SBOX[v] != k10[j]:
-                done = False
-                break
-        if done:
-            return i + 1
-    return None
+# The minimum-count scan reads chunks ending at blocks 2048, 4096, 8192...
+# Each synthetic stream below is (n, at, target_at): n blocks in which
+# the last value other than the target first appears at block `at`
+# (1-based) and a target at block `target_at`, None meaning never.
+SETTLING = {
+    "inside-first-chunk": (400, 300, None),
+    "last-block-of-a-chunk": (2060, 2048, None),
+    "first-block-of-next-chunk": (2060, 2049, None),
+    "after-two-doublings": (4110, 4100, None),
+    "never": (2100, None, None),
+    "target-after-settling": (2070, 2049, 2060),
+    "target-on-the-settling-block": (2060, 2048, 2048),
+    "target-in-an-earlier-chunk": (2100, 2060, 1000),
+    "empty": (0, None, None),
+}
+SETTLING_V = 0x42
+SETTLING_K10 = bytes(range(0x10, 0x20))
+
+
+def settling_stream(n, at, target_at):
+    """Synthetic blocks whose per-position first occurrences are set by
+    hand.  Position j sees its last other value at block at - j, so
+    position 0 settles last; position 15 sees its target at block
+    target_at.  No block is all zero."""
+    targets = np.array([AES_SBOX[SETTLING_V] ^ k for k in SETTLING_K10])
+    # Position j's other values t_j + 1, ..., t_j + 255; the first one,
+    # nonzero here, fills the blocks not set by hand.
+    others = ((targets[:, None] + np.arange(1, 256)) % 256).astype(np.uint8)
+    blocks = np.repeat(others[None, :, 0], n, axis=0)
+    blocks[:min(n, 254)] = others[:, :254].T[:n]
+    if at is not None:
+        for j in range(BLOCK_SIZE):
+            blocks[at - 1 - j, j] = others[j, 254]
+    if target_at is not None:
+        blocks[target_at - 1, -1] = targets[-1]
+    return blocks
+
+
+def _with_zero_blocks(cts):
+    """cts with a zero block after every third block."""
+    n = cts.shape[0]
+    padded = np.zeros((n + n // 3, BLOCK_SIZE), dtype=np.uint8)
+    padded[np.arange(n) // 3 * 4 + np.arange(n) % 3] = cts
+    return padded
 
 
 def test_min_ciphertexts_matches_literal_replay():
     cts, k10, v, _ = faulted_stream(70, 4000)
-    fast = min_ciphertexts_to_recover(cts, k10, v)
-    slow = _min_ct_by_replay(cts, k10, v)
-    assert fast == slow
-    assert fast is not None
-    assert 500 < fast <= 4000
+    streams = {"faulted": (cts, k10, v)}
+    for name, (n, at, target_at) in SETTLING.items():
+        cts = settling_stream(n, at, target_at)
+        streams[name] = (cts, SETTLING_K10, SETTLING_V)
+        # The synthetic streams settle where they were planned to.
+        planned = at if at is not None and (
+            target_at is None or target_at > at) else None
+        assert min_ciphertexts_to_recover(
+            cts, SETTLING_K10, SETTLING_V) == planned, name
+    assert 500 < min_ciphertexts_to_recover(*streams["faulted"]) <= 4000
+    for name, (cts, k10, v) in streams.items():
+        fast = min_ciphertexts_to_recover(cts, k10, v)
+        assert fast == min_ct_by_replay(cts, k10, v), name
+        # Dropped zero blocks stay out of the histogram but count in N.
+        padded = _with_zero_blocks(cts)
+        kept = nonzero_blocks(padded)
+        fast = min_ciphertexts_to_recover(padded[kept], k10, v, kept=kept)
+        assert fast == min_ct_by_replay(padded, k10, v, zco_filter=True), \
+            name
 
 
 def test_min_ciphertexts_none_when_stream_too_short():
@@ -265,7 +308,7 @@ def test_min_ciphertexts_with_zero_block_filter():
     padded = np.array(padded, dtype=np.uint8)
     kept = padded.any(axis=1)
     filtered = min_ciphertexts_to_recover(padded[kept], k10, v, kept=kept)
-    slow = _min_ct_by_replay(padded, k10, v, zco_filter=True)
+    slow = min_ct_by_replay(padded, k10, v, zco_filter=True)
     assert filtered == slow
     # The padded index counts emitted blocks, zero blocks included.
     assert filtered > reached

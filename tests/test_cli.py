@@ -8,14 +8,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfalab import cli, experiment
-from pfalab.aes import BLOCK_SIZE, encrypt_blocks, key_expand
+from pfalab.aes import (
+    BLOCK_SIZE,
+    block_from_hex,
+    encrypt_blocks,
+    key_expand,
+    nonzero_blocks,
+)
+from pfalab.classic import ZCO, DmrConfig, dmr_encrypt_blocks
 from pfalab.cli import build_parser, main
 from pfalab.experiment import IMPLEMENTATIONS, ExperimentConfig
 from pfalab.faults import FaultSpec, inject
 from pfalab.rng import Rng
 from pfalab.sbox import AES_INV_SBOX, AES_SBOX
+
+from helpers import min_ct_by_replay
 
 
 @pytest.fixture()
@@ -243,6 +254,34 @@ def test_attack_counts_correct_bytes_against_a_true_key(
     assert "n_correct" not in json.loads(capsys.readouterr().out)
 
 
+def test_attack_zco_filter_drops_zero_blocks(tmp_path, capsys):
+    # A zero-on-mismatch DMR device: about half of the emitted blocks
+    # are all zero.  --zco-filter leaves them out of the histogram, and
+    # the minimum count still counts every emitted block.
+    rng = Rng(78)
+    rk = key_expand(rng.randbytes(BLOCK_SIZE))
+    table = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
+    pts = np.frombuffer(rng.randbytes(BLOCK_SIZE * 6000), dtype=np.uint8)
+    blocks, mismatch = dmr_encrypt_blocks(
+        pts.reshape(6000, BLOCK_SIZE), rk, AES_SBOX, table,
+        DmrConfig(defense=ZCO))
+    assert 0 < mismatch.sum() < 6000
+    path = tmp_path / "zco.txt"
+    path.write_text("".join(bytes(row).hex() + "\n" for row in blocks))
+    hist = tmp_path / "hist.csv"
+    assert main(["attack", str(path), "--v", "0x42", "--v-star",
+                 hex(AES_INV_SBOX[0x00]), "--true-k10", rk[10].hex(),
+                 "--zco-filter", "--hist-out", str(hist)]) == 0
+    output = json.loads(capsys.readouterr().out)
+    assert output["n_correct"] == 16
+    assert output["min_ciphertexts"] is not None
+    assert output["min_ciphertexts"] == min_ct_by_replay(
+        blocks, rk[10], 0x42, zco_filter=True)
+    counts = np.loadtxt(hist, delimiter=",", skiprows=1, dtype=np.int64)
+    per_position = np.bincount(counts[:, 0], weights=counts[:, 2])
+    assert per_position.tolist() == [nonzero_blocks(blocks).sum()] * 16
+
+
 def test_attack_search_mode(stream_file, capsys):
     path, k10 = stream_file
     assert main(["attack", str(path), "--search"]) == 0
@@ -334,6 +373,85 @@ def test_attack_reads_crlf_and_blank_lines(stream_file, tmp_path, capsys):
     unended = tmp_path / "unended.txt"
     unended.write_text("\n".join(lines))
     assert _attack_output(unended, capsys) == expected
+
+
+def _read_by_line(path):
+    """The reference reader: strip each line, skip blank ones, and parse
+    the rest with block_from_hex, naming a bad line as path:line."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    blocks = []
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                blocks.append(block_from_hex(line.strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if not blocks:
+        raise ValueError(f"{path}: no ciphertext blocks")
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(
+        -1, BLOCK_SIZE)
+
+
+# Ways to spoil one line of a canonical file.  "inner-newline" keeps the
+# 33-byte row but puts a newline inside it; "non-utf8" keeps its length;
+# "65-digits" fills two 33-byte rows, only the second ended by a newline.
+_SPOILED = {
+    "65-digits": lambda line: line + b"0" + line,
+    "blank": lambda line: b" \t",
+    "padded": lambda line: b" " + line + b"\t",
+    "upper": lambda line: line.upper(),
+    "one-upper": lambda line: line[:-1] + line[-1:].upper(),
+    "short": lambda line: line[:-2],
+    "non-hex": lambda line: line[:-1] + b"g",
+    "inner-newline": lambda line: line[:10] + b"\n" + line[10:-1],
+    "non-utf8": lambda line: line[:5] + b"\xff" + line[6:],
+}
+
+
+@st.composite
+def _stream_files(draw):
+    blocks = draw(st.lists(st.binary(min_size=BLOCK_SIZE,
+                                     max_size=BLOCK_SIZE), max_size=6))
+    lines = [block.hex().encode() for block in blocks]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        spoil = _SPOILED[draw(st.sampled_from(sorted(_SPOILED)))]
+        if at < len(lines):
+            lines[at] = spoil(lines[at])
+        else:
+            lines.append(spoil(b"00112233445566778899aabbccddeeff"))
+    # Half the files end each line with a newline, as the canonical
+    # layout does, so that spoiled lines reach the one-pass reader.
+    if draw(st.booleans()):
+        return b"".join(line + b"\n" for line in lines)
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    text = end.join(lines)
+    return text + end if draw(st.booleans()) else text
+
+
+def _outcome(read, path):
+    try:
+        blocks = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return blocks.dtype, blocks.shape, blocks.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(data=_stream_files())
+def test_read_blocks_matches_the_line_by_line_reference(tmp_path_factory,
+                                                        data):
+    # Canonical files take the one-pass reader and every other file the
+    # line reader: either way the same blocks, or the same one-line
+    # error naming the same line.
+    path = tmp_path_factory.getbasetemp() / "drawn.txt"
+    path.write_bytes(data)
+    got = _outcome(cli._read_blocks, path)
+    assert got == _outcome(_read_by_line, path)
+    assert not isinstance(got, str) or "\n" not in got
 
 
 def test_attack_names_the_first_uppercase_line(tmp_path, capsys):
