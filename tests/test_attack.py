@@ -220,7 +220,8 @@ def test_min_ciphertexts_rejects_wrong_key_length(length):
 # The minimum-count scan reads chunks ending at blocks 2048, 4096, 8192...
 # Each synthetic stream below is (n, at, target_at): n blocks in which
 # the last value other than the target first appears at block `at`
-# (1-based) and a target at block `target_at`, None meaning never.
+# (1-based) and position 15's target at block `target_at`, None meaning
+# never.
 SETTLING = {
     "inside-first-chunk": (400, 300, None),
     "last-block-of-a-chunk": (2060, 2048, None),
@@ -299,13 +300,7 @@ def test_min_ciphertexts_none_on_clean_stream():
 def test_min_ciphertexts_with_zero_block_filter():
     cts, k10, v, _ = faulted_stream(73, 4000)
     reached = min_ciphertexts_to_recover(cts, k10, v)
-    # Interleave a zero block after every third ciphertext.
-    padded = []
-    for i in range(cts.shape[0]):
-        padded.append(cts[i])
-        if i % 3 == 2:
-            padded.append(np.zeros(BLOCK_SIZE, dtype=np.uint8))
-    padded = np.array(padded, dtype=np.uint8)
+    padded = _with_zero_blocks(cts)
     kept = padded.any(axis=1)
     filtered = min_ciphertexts_to_recover(padded[kept], k10, v, kept=kept)
     slow = min_ct_by_replay(padded, k10, v, zco_filter=True)
