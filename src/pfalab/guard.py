@@ -7,7 +7,8 @@ The guard runs before each encryption:
    step against C_hat.  Any single corrupted entry of a table that
    sbox_analysis.verify_detection certifies (the AES S-box and its
    inverse) flips the comparison, at the cost of 16*(t+1) lookups (336
-   for the AES pair) and no storage beyond three blocks.
+   for the AES pair) and no storage beyond three blocks.  The walk takes
+   t // 2 steps on the squared table, plus one on the table for odd t.
 
 2. correct: called only once detect has fired, rebuild entries by
    majority vote over the four neighbour reconstructions offered by
@@ -19,8 +20,8 @@ The guard runs before each encryption:
    (sbox.to_lanes): the syndromes come from the sbox lane moves, and
    the comparisons, the vote and the write are whole-int bit operations.
    A lone faulty entry (its four edges, and no others, fail with one
-   syndrome) is voted in closed form, skipping the pairwise comparisons
-   and, as that write clears every syndrome, the final table's vote.
+   syndrome) is voted in closed form, skipping the pairwise comparisons,
+   and correct returns once the walk of that one write passes.
    One sweep repairs any entry that still has at least two sound votes;
    denser damage is peeled from the outside in over repeated sweeps.
    Every sweep covers the whole table.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from .sbox import (
     SBoxTable,
-    from_lanes,
+    _table_of_lanes,
     lanes_down,
     lanes_left,
     lanes_right,
@@ -75,9 +76,15 @@ DEFAULT_GUARD = GuardConfig()
 def detect(table: SBoxTable, pair: DetectionPair) -> bool:
     """True when the table fails the checkpoint walk (fault present):
     the block after t steps differs from C, or the one after t + 1 steps
-    from C_hat."""
-    block, entries = pair.p, table.entries
-    for _ in range(pair.t):
+    from C_hat.  Lane b of the square entries.translate(entries) is
+    entries[entries[b]], so t // 2 steps on it, and one more on the table
+    when t is odd, give the t-step block for any table."""
+    entries = table.entries
+    square = entries.translate(entries)
+    block = pair.p
+    for _ in range(pair.t >> 1):
+        block = block.translate(square)
+    if pair.t & 1:
         block = block.translate(entries)
     return block != pair.c or block.translate(entries) != pair.c_hat
 
@@ -110,6 +117,29 @@ def _lanes_of(lanes: int) -> list[int]:
     return found
 
 
+def _syndromes(lanes: int, v: int, h: int) -> tuple[int, int]:
+    """(sv, sh): lane x holds the syndrome of x's edge down, and right."""
+    return lanes ^ lanes_down(lanes) ^ v, lanes ^ lanes_right(lanes) ^ h
+
+
+def _one_entry(sv: int, sh: int) -> int:
+    """e << 8x when the syndromes are one entry's signature, else 0.
+
+    An error e at entry x alone fails exactly x's four edges, with
+    syndrome e: sv is e in lanes x and up(x), sh in lanes x and left(x).
+    x then votes 4-0 for e, its neighbours 3-1 and all else 4-0 for
+    themselves, so the vote writes e at x alone, clearing both syndromes.
+    """
+    x = ((sv & sh).bit_length() - 1) >> 3
+    if x < 0:  # no lane fails both checks
+        return 0
+    e = (sv >> 8 * x) & 0xFF
+    ex = e << 8 * x
+    if sv == ex | e << 8 * up(x) and sh == ex | e << 8 * left(x):
+        return ex
+    return 0
+
+
 def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
     """One simultaneous vote over all 256 entries of a lane int.
 
@@ -122,24 +152,18 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
     4-of-4 for itself.  v and h are the parity tables as lane ints.
     Returns (delta, unresolved, clears): lanes ^ delta is the voted
     table, unresolved has bit 7 set where a vote cannot decide, and
-    clears is True when lanes ^ delta fails no edge.
-
-    One entry x with error e fails exactly its four edges, all with
-    syndrome e: sv is e in lanes x and up(x), sh is e in lanes x and
-    left(x), and x is the one lane of sv & sh.  Then x votes 4-0 for e,
-    each of its four neighbours 3-1 for itself (one failing edge), and
-    every other entry 4-0 for itself, so delta is e in lane x alone, and
-    writing it clears both syndromes.
+    clears is True when lanes ^ delta fails no edge, as after the
+    closed form of _one_entry.
     """
-    sv = lanes ^ lanes_down(lanes) ^ v
-    sh = lanes ^ lanes_right(lanes) ^ h
-    if not sv | sh:
-        return 0, 0, True
-    x = max((sv & sh).bit_length() - 1, 0) >> 3  # empty: x = 0, no match
-    e = (sv >> 8 * x) & 0xFF
-    if (sv == e << 8 * x | e << 8 * up(x)
-            and sh == e << 8 * x | e << 8 * left(x)):
-        return e << 8 * x, 0, True
+    sv, sh = _syndromes(lanes, v, h)
+    delta = _one_entry(sv, sh)
+    if delta or not sv | sh:
+        return delta, 0, True
+    return _lane_vote(sv, sh) + (False,)
+
+
+def _lane_vote(sv: int, sh: int) -> tuple[int, int]:
+    """_vote's (delta, unresolved) from the pairwise comparisons."""
     s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
     # eij: candidates i and j agree.
     e01 = _zero_lanes(s0 ^ s1)
@@ -156,10 +180,10 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
     pick1 = _widen((e12 | e13) & ~pick0)
     pick0 = _widen(pick0)
     winner = (s0 & pick0) | (s1 & pick1) | (s2 & ~(pick0 | pick1))
-    return winner & _widen(resolved), _HIGH & ~resolved, False
+    return winner & _widen(resolved), _HIGH & ~resolved
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class CorrectionReport:
     """What a correct() invocation did and where it ended up.
 
@@ -173,6 +197,13 @@ class CorrectionReport:
     rounds_used: int
     changed_entries: tuple[tuple[int, int, int], ...] = ()
     unresolved: tuple[int, ...] = ()
+
+    def __init__(self, converged, rounds_used, changed_entries=(),
+                 unresolved=()):
+        # One dict update, not the frozen default's setattr per field.
+        self.__dict__.update(converged=converged, rounds_used=rounds_used,
+                             changed_entries=changed_entries,
+                             unresolved=unresolved)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,34 +226,42 @@ def correct(
     when the walk passes, a vote changes nothing, or the round budget is
     spent.  Writes within a round are simultaneous (every vote reads the
     same snapshot), so entry order never matters and rounds_used is well
-    defined.  A closed-form write clears every syndrome, so its table is
-    not voted again for the unresolved entries.
+    defined.  A lone faulty entry's closed-form write returns once its
+    walk passes, or else stands as round 1.  No table is voted or walked
+    twice; the final table's vote gives the unresolved entries.
     """
-    working = table
+    v, h = tables.v, tables.h
     lanes = to_lanes(table.entries)
-    changed_entries: list[tuple[int, int, int]] = []
-    converged = False
-    for rounds_used in range(1, cfg.max_correction_rounds + 1):
-        delta, unresolved, clears = _vote(lanes, tables.v, tables.h)
+    sv, sh = _syndromes(lanes, v, h)
+    delta = _one_entry(sv, sh)
+    if delta:  # round 1, in closed form
+        x = (delta.bit_length() - 1) >> 3
+        lanes ^= delta
+        working = _table_of_lanes(lanes)
+        changed_entries = [(x, table.entries[x], working.entries[x])]
+        if not detect(working, pair):
+            return working, CorrectionReport(True, 1, tuple(changed_entries))
+        first, vote = 2, _vote(lanes, v, h)
+    else:
+        working, changed_entries, first = table, [], 1
+        vote = _lane_vote(sv, sh)
+    converged, rounds_used = False, 1
+    for rounds_used in range(first, cfg.max_correction_rounds + 1):
+        delta = vote[0]
         if not delta:
             break  # the entries stand as the last walk rejected them
         old = working.entries
         lanes ^= delta
-        working = SBoxTable(from_lanes(lanes))
-        if clears:  # one entry, voted in closed form
-            x = (delta.bit_length() - 1) >> 3
-            changed_entries.append((x, old[x], working.entries[x]))
-        else:
-            changed_entries += [(x, old[x], working.entries[x])
-                                for x in _lanes_of(delta)]
+        working = _table_of_lanes(lanes)
+        changed_entries += [(x, old[x], working.entries[x])
+                            for x in _lanes_of(delta)]
+        vote = _vote(lanes, v, h)
         converged = not detect(working, pair)
         if converged:
             break
-    if delta and not clears:
-        unresolved = _vote(lanes, tables.v, tables.h)[1]  # of the final table
     return working, CorrectionReport(
         converged, rounds_used, tuple(changed_entries),
-        tuple(_lanes_of(unresolved)))
+        tuple(_lanes_of(vote[1])))
 
 
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
@@ -234,4 +273,4 @@ def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     unresolved vote keeps the stored entry.
     """
     lanes = to_lanes(table.entries)
-    return SBoxTable(from_lanes(lanes ^ _vote(lanes, tables.v, tables.h)[0]))
+    return _table_of_lanes(lanes ^ _vote(lanes, tables.v, tables.h)[0])

@@ -97,6 +97,13 @@ def from_lanes(lanes: int) -> bytes:
     return lanes.to_bytes(256, "little")
 
 
+def _table_of_lanes(lanes: int) -> SBoxTable:
+    """The table of a lane int, whose 256 bytes need no check."""
+    table = object.__new__(SBoxTable)
+    object.__setattr__(table, "entries", from_lanes(lanes))
+    return table
+
+
 def lanes_up(lanes: int) -> int:
     return ((lanes & _FIRST_15_ROWS) << 128) | (lanes >> 1920)
 

@@ -36,9 +36,9 @@ from pfalab.sbox import (
     to_lanes,
     up,
 )
-from pfalab.sbox_analysis import build_redundant_tables
+from pfalab.sbox_analysis import build_detection_pair, build_redundant_tables
 
-from helpers import down, right, shuffle
+from helpers import down, right, shuffle, with_entry
 
 
 def test_detect_pristine_table_is_quiet(pair):
@@ -61,6 +61,44 @@ def test_second_checkpoint_catches_the_swap(pair):
         block = block.translate(swapped.entries)
     assert block == pair.c
     assert detect(swapped, pair) is True
+
+
+def _literal_detect(table, pair):
+    """detect as the guard states it: t table steps, then one more."""
+    block, entries = pair.p, table.entries
+    for _ in range(pair.t):
+        block = block.translate(entries)
+    return block != pair.c or block.translate(entries) != pair.c_hat
+
+
+def test_detect_matches_the_literal_walk():
+    # detect walks the squared table.  It must answer as the t-step walk
+    # does for an even t (the AES pair) and an odd one (a shuffle's), on
+    # the pristine tables, every single fault of the odd-t table and 200
+    # seeded multi-fault tables each.
+    entries = list(range(256))
+    shuffle(Rng(0), entries)
+    shuffled = SBoxTable(entries)
+    rng = Rng(22)
+    answers = set()
+    for pristine, t in ((AES_SBOX, 20), (shuffled, 17)):
+        pair = build_detection_pair(pristine)
+        assert pair.t == t
+        cases = [pristine]
+        for _ in range(200):
+            faulted = pristine
+            for x in rng.sample_distinct(256, 2 + rng.randrange(31)):
+                faulted = with_entry(faulted, x, rng.randrange(256))
+            cases.append(faulted)
+        if t % 2:
+            base = pristine.entries
+            cases += [SBoxTable(base[:x] + bytes((e,)) + base[x + 1:])
+                      for x in range(256) for e in range(256) if e != base[x]]
+        for table in cases:
+            answer = detect(table, pair)
+            assert answer == _literal_detect(table, pair), table
+            answers.add(answer)
+    assert answers == {False, True}
 
 
 def _plant_candidates(tables, x, candidates, current):
@@ -318,8 +356,37 @@ def test_correct_respects_round_budget(pair, tables):
     assert fixed == AES_SBOX
 
 
+_S21 = SBoxTable(bytes(b ^ 0x21 for b in AES_SBOX.entries))
+
+
+def _fallback_table():
+    """S xor 0x21 with entry 0x42 flipped by a further 5.  Its syndromes
+    are entry 0x42's alone, but the closed-form write leaves S xor 0x21,
+    which passes every parity check and fails the walk."""
+    return inject(_S21, FaultSpec(((0x42, _S21[0x42] ^ 5),)))
+
+
+@pytest.mark.parametrize("budget,rounds", [(1, 1), (2, 2), (16, 2)])
+def test_closed_form_write_that_fails_the_walk_stands_as_round_one(
+        pair, tables, budget, rounds):
+    # The written table fails no edge, so round 2 votes it and changes
+    # nothing; S xor 0x21 on its own fails no edge from round 1.
+    cfg = GuardConfig(budget)
+    fixed, report = correct(_fallback_table(), tables, pair, cfg)
+    assert fixed == _S21
+    assert report == CorrectionReport(converged=False, rounds_used=rounds,
+                                      changed_entries=((0x42, 0x08, 0x0D),),
+                                      unresolved=())
+    for table in (_fallback_table(), _S21):
+        want_fixed, want, _ = _oracle_correct(table, tables, pair, cfg)
+        assert correct(table, tables, pair, cfg) == (want_fixed, want)
+    assert correct(_S21, tables, pair, cfg) == (
+        _S21, CorrectionReport(converged=False, rounds_used=1))
+
+
 @pytest.mark.parametrize("case,budget,walks", [
-    ("single", 16, 1), ("block3", 2, 2), ("block3", 16, 3)])
+    ("single", 16, 1), ("block3", 2, 2), ("block3", 16, 3),
+    ("fallback", 1, 1), ("fallback", 16, 1)])
 def test_correct_walks_each_written_table_once(monkeypatch, pair, tables,
                                                case, budget, walks):
     # The caller's detect already rejected the input table, so correct()
@@ -331,8 +398,11 @@ def test_correct_walks_each_written_table_once(monkeypatch, pair, tables,
         return detect(*args)
 
     monkeypatch.setattr(guard, "detect", counting_detect)
-    faulted = (inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
-               if case == "single" else _faulted_block3())
+    faulted = {
+        "single": lambda: inject(AES_SBOX, FaultSpec(((0x42, 0x00),))),
+        "block3": _faulted_block3,
+        "fallback": _fallback_table,
+    }[case]()
     guard.correct(faulted, tables, pair, GuardConfig(budget))
     assert len(calls) == walks
 
