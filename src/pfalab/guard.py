@@ -21,7 +21,7 @@ The guard runs before each encryption:
    the comparisons, the vote and the write are whole-int bit operations.
    A lone faulty entry (its four edges, and no others, fail with one
    syndrome) is voted in closed form, skipping the pairwise comparisons,
-   and correct returns once the walk of that one write passes.
+   and correct returns after one walk of that one write.
    One sweep repairs any entry that still has at least two sound votes;
    denser damage is peeled from the outside in over repeated sweeps.
    Every sweep covers the whole table.
@@ -80,8 +80,7 @@ def detect(table: SBoxTable, pair: DetectionPair) -> bool:
     entries[entries[b]], so t // 2 steps on it, and one more on the table
     when t is odd, give the t-step block for any table."""
     entries = table.entries
-    square = entries.translate(entries)
-    block = pair.p
+    block, square = pair.p, entries.translate(entries)
     for _ in range(pair.t >> 1):
         block = block.translate(square)
     if pair.t & 1:
@@ -140,7 +139,7 @@ def _one_entry(sv: int, sh: int) -> int:
     return 0
 
 
-def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
+def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
     """One simultaneous vote over all 256 entries of a lane int.
 
     Each entry's candidates are the entry XOR the syndromes s0..s3 of its
@@ -150,16 +149,14 @@ def _vote(lanes: int, v: int, h: int) -> tuple[int, int, bool]:
     (2-1-1), 3 (3-1) and 6 (4-0) leave one majority, 0 and 2 (2-2) do
     not, and 4 and 5 cannot occur.  An entry on passing edges only votes
     4-of-4 for itself.  v and h are the parity tables as lane ints.
-    Returns (delta, unresolved, clears): lanes ^ delta is the voted
-    table, unresolved has bit 7 set where a vote cannot decide, and
-    clears is True when lanes ^ delta fails no edge, as after the
-    closed form of _one_entry.
+    Returns (delta, unresolved): lanes ^ delta is the voted table, and
+    unresolved has bit 7 set where a vote cannot decide.
     """
     sv, sh = _syndromes(lanes, v, h)
     delta = _one_entry(sv, sh)
     if delta or not sv | sh:
-        return delta, 0, True
-    return _lane_vote(sv, sh) + (False,)
+        return delta, 0
+    return _lane_vote(sv, sh)
 
 
 def _lane_vote(sv: int, sh: int) -> tuple[int, int]:
@@ -226,28 +223,27 @@ def correct(
     when the walk passes, a vote changes nothing, or the round budget is
     spent.  Writes within a round are simultaneous (every vote reads the
     same snapshot), so entry order never matters and rounds_used is well
-    defined.  A lone faulty entry's closed-form write returns once its
-    walk passes, or else stands as round 1.  No table is voted or walked
-    twice; the final table's vote gives the unresolved entries.
+    defined.  A lone faulty entry is round 1 in closed form: correct
+    writes it, walks the result once and returns, converged or not, as
+    that write clears every syndrome and a round 2 would vote no change.
+    Otherwise each written table is voted once, for the next round or,
+    in the last, for the unresolved entries.
     """
     v, h = tables.v, tables.h
     lanes = to_lanes(table.entries)
     sv, sh = _syndromes(lanes, v, h)
     delta = _one_entry(sv, sh)
-    if delta:  # round 1, in closed form
+    if delta:
         x = (delta.bit_length() - 1) >> 3
-        lanes ^= delta
-        working = _table_of_lanes(lanes)
-        changed_entries = [(x, table.entries[x], working.entries[x])]
+        working = _table_of_lanes(lanes ^ delta)
+        changed = ((x, table.entries[x], working.entries[x]),)
         if not detect(working, pair):
-            return working, CorrectionReport(True, 1, tuple(changed_entries))
-        first, vote = 2, _vote(lanes, v, h)
-    else:
-        working, changed_entries, first = table, [], 1
-        vote = _lane_vote(sv, sh)
-    converged, rounds_used = False, 1
-    for rounds_used in range(first, cfg.max_correction_rounds + 1):
-        delta = vote[0]
+            return working, CorrectionReport(True, 1, changed)
+        return working, CorrectionReport(
+            False, min(2, cfg.max_correction_rounds), changed)
+    working, changed_entries, converged = table, [], False
+    delta, unresolved = _lane_vote(sv, sh)
+    for rounds_used in range(1, cfg.max_correction_rounds + 1):
         if not delta:
             break  # the entries stand as the last walk rejected them
         old = working.entries
@@ -255,13 +251,13 @@ def correct(
         working = _table_of_lanes(lanes)
         changed_entries += [(x, old[x], working.entries[x])
                             for x in _lanes_of(delta)]
-        vote = _vote(lanes, v, h)
+        delta, unresolved = _vote(lanes, v, h)
         converged = not detect(working, pair)
         if converged:
             break
     return working, CorrectionReport(
         converged, rounds_used, tuple(changed_entries),
-        tuple(_lanes_of(vote[1])))
+        tuple(_lanes_of(unresolved)))
 
 
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:

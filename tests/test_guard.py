@@ -1,5 +1,8 @@
 import hashlib
+import inspect
+from dataclasses import MISSING, asdict, fields, replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from pfalab.faults import (
 from pfalab.guard import (
     CorrectionReport,
     GuardConfig,
+    _one_entry,
+    _syndromes,
     _vote,
     correct,
     detect,
@@ -90,14 +95,21 @@ def test_detect_matches_the_literal_walk():
             for x in rng.sample_distinct(256, 2 + rng.randrange(31)):
                 faulted = with_entry(faulted, x, rng.randrange(256))
             cases.append(faulted)
-        if t % 2:
-            base = pristine.entries
-            cases += [SBoxTable(base[:x] + bytes((e,)) + base[x + 1:])
-                      for x in range(256) for e in range(256) if e != base[x]]
         for table in cases:
             answer = detect(table, pair)
             assert answer == _literal_detect(table, pair), table
             answers.add(answer)
+        if t % 2:
+            # Every single fault, written in turn into one reused table:
+            # both walks read only its entries.
+            single = SimpleNamespace(entries=bytearray(pristine.entries))
+            for x in range(256):
+                for e in range(256):
+                    single.entries[x] = e
+                    if e != pristine[x]:
+                        assert detect(single, pair) == \
+                            _literal_detect(single, pair), (x, e)
+                single.entries[x] = pristine[x]
     assert answers == {False, True}
 
 
@@ -138,8 +150,9 @@ def test_reconstruction_identity_on_pristine(tables):
     identity = SBoxTable(bytes(range(256)))
     for pristine in (AES_SBOX, identity, SBoxTable(entries)):
         parity = build_redundant_tables(pristine)
-        assert _vote(to_lanes(pristine.entries), parity.v, parity.h) == \
-            (0, 0, True)
+        lanes = to_lanes(pristine.entries)
+        assert _syndromes(lanes, parity.v, parity.h) == (0, 0)
+        assert _vote(lanes, parity.v, parity.h) == (0, 0)
         assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
@@ -192,15 +205,17 @@ def _lane_tables():
 
 
 def _assert_votes_agree(lanes, v, h):
-    """The vote equals the pairwise vote, and a write it marks as
-    clearing leaves no syndrome, so a vote of the result writes and
-    leaves open nothing."""
+    """The vote equals the pairwise vote, and where the syndromes are
+    one entry's signature it is the closed form's write, which leaves no
+    syndrome.  Returns the vote and whether the closed form applied."""
     got = _vote(lanes, v, h)
-    assert got[:2] == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
-    if got[2]:
-        assert _vote(lanes ^ got[0], v, h) == (0, 0, True), \
+    assert got == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
+    closed = _one_entry(*_syndromes(lanes, v, h))
+    if closed:
+        assert got == (closed, 0), (hex(lanes ^ v), hex(h))
+        assert _syndromes(lanes ^ closed, v, h) == (0, 0), \
             (hex(lanes ^ v), hex(h))
-    return got
+    return got + (bool(closed),)
 
 
 def _no_lane_vote(lanes):
@@ -209,9 +224,10 @@ def _no_lane_vote(lanes):
 
 def test_one_entry_vote_is_closed_form(monkeypatch):
     # Every (x, e) single fault on both tables: the vote equals the
-    # pairwise vote, writes e into lane x alone as a clearing write (the
-    # table it leaves votes (0, 0, True)), and never reaches the pairwise
-    # comparisons (the first of which needs lanes_up).
+    # pairwise vote, writes e into lane x alone in closed form, a
+    # clearing write (the table it leaves fails no edge), and never
+    # reaches the pairwise comparisons (the first of which needs
+    # lanes_up).
     monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
     for lanes, v, h in _lane_tables():
         for x in range(256):
@@ -255,20 +271,21 @@ def _lone_entry_with_a_perturbed_half(draw):
            st.tuples(_ENTRY_ERRORS, _PARITY_ERRORS, _PARITY_ERRORS),
            _lone_entry_with_a_perturbed_half()))
 def test_a_clearing_write_leaves_no_syndrome(table, pattern):
-    # Any table, entry errors and parity faults: whenever the vote marks
-    # its write as clearing, the written table fails no edge, and a vote
-    # of it is (0, 0).
+    # Any table, entry errors and parity faults: whenever the syndromes
+    # are none or one entry's signature, the vote is the closed form's
+    # write, the written table fails no edge, and a vote of it is (0, 0).
     errors, v_errors, h_errors = pattern
     parity = build_redundant_tables(SBoxTable(table))
     lanes = to_lanes(table) ^ errors
     v, h = parity.v ^ v_errors, parity.h ^ h_errors
-    delta, unresolved, clears = _vote(lanes, v, h)
-    if clears:
-        assert unresolved == 0
+    sv, sh = _syndromes(lanes, v, h)
+    delta = _one_entry(sv, sh)
+    if delta or not sv | sh:
+        assert _vote(lanes, v, h) == (delta, 0)
         written = lanes ^ delta
         assert written ^ lanes_down(written) == v
         assert written ^ lanes_right(written) == h
-        assert _vote(written, v, h) == (0, 0, True)
+        assert _vote(written, v, h) == (0, 0)
 
 
 def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
@@ -456,6 +473,22 @@ def test_correction_report_is_an_immutable_value():
                                     changed_entries=((7, 1, 2),))
     assert report == CorrectionReport(converged=False, rounds_used=2,
                                       changed_entries=(), unresolved=())
+
+
+def test_correction_report_init_takes_its_fields():
+    # The report's own __init__ repeats the field list: its parameters
+    # are the fields, in order, with the same defaults, and every field
+    # is set, so dataclasses.replace and asdict see the whole report.
+    params = inspect.signature(CorrectionReport).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, inspect.Parameter.empty if f.default is MISSING
+         else f.default) for f in fields(CorrectionReport)]
+    full = CorrectionReport(True, 1, ((7, 1, 2),), (9,))
+    assert asdict(full) == {"converged": True, "rounds_used": 1,
+                            "changed_entries": ((7, 1, 2),),
+                            "unresolved": (9,)}
+    assert replace(full, unresolved=()) == CorrectionReport(
+        True, 1, ((7, 1, 2),))
 
 
 def test_precorrect_table_masks_single_fault(tables):
