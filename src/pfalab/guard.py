@@ -1,6 +1,8 @@
 """Closed-loop table checking and neighbour-vote repair.
 
-The guard runs before each encryption:
+The paper's guard runs before each encryption, as pfalab.costs prices
+it; pfalab's dc device runs it once per trial, before the first block,
+and dc_precorrect votes once per trial (see ROADMAP.md, item 21):
 
 1. detect: walk the stored seed block P through t table applications
    and compare against the precomputed checkpoint C, then one further
@@ -19,9 +21,9 @@ The guard runs before each encryption:
    votes all 256 entries at once as the byte lanes of one 2048-bit int
    (sbox.to_lanes): the syndromes come from the sbox lane moves, and
    the comparisons, the vote and the write are whole-int bit operations.
-   A lone faulty entry (its four edges, and no others, fail with one
-   syndrome) is voted in closed form, skipping the pairwise comparisons,
-   and correct returns after one walk of that one write.
+   Every vote is the one pairwise rule over the syndromes, except that
+   correct writes a lone faulty entry (its four edges, and no others,
+   fail with one syndrome) in closed form and returns after one walk.
    One sweep repairs any entry that still has at least two sound votes;
    denser damage is peeled from the outside in over repeated sweeps.
    Every sweep covers the whole table.
@@ -127,7 +129,7 @@ def _one_entry(sv: int, sh: int) -> int:
     An error e at entry x alone fails exactly x's four edges, with
     syndrome e: sv is e in lanes x and up(x), sh in lanes x and left(x).
     x then votes 4-0 for e, its neighbours 3-1 and all else 4-0 for
-    themselves, so the vote writes e at x alone, clearing both syndromes.
+    themselves: _vote(sv, sh) is (e << 8x, 0), which clears both syndromes.
     """
     x = ((sv & sh).bit_length() - 1) >> 3
     if x < 0:  # no lane fails both checks
@@ -139,28 +141,22 @@ def _one_entry(sv: int, sh: int) -> int:
     return 0
 
 
-def _vote(lanes: int, v: int, h: int) -> tuple[int, int]:
-    """One simultaneous vote over all 256 entries of a lane int.
+def _vote(sv: int, sh: int) -> tuple[int, int]:
+    """One simultaneous vote over all 256 entries, from their syndromes.
 
-    Each entry's candidates are the entry XOR the syndromes s0..s3 of its
-    up, down, left and right edges.  A vote resolves to the unique value
-    holding at least two of the four; a 2-2 tie or four distinct values
-    stay unresolved.  By the number of agreeing candidate pairs: 1
-    (2-1-1), 3 (3-1) and 6 (4-0) leave one majority, 0 and 2 (2-2) do
-    not, and 4 and 5 cannot occur.  An entry on passing edges only votes
-    4-of-4 for itself.  v and h are the parity tables as lane ints.
-    Returns (delta, unresolved): lanes ^ delta is the voted table, and
-    unresolved has bit 7 set where a vote cannot decide.
+    sv and sh are _syndromes of a lane int.  Each entry's candidates are
+    the entry XOR the syndromes s0..s3 of its up, down, left and right
+    edges.  A vote resolves to the unique value holding at least two of
+    the four; a 2-2 tie or four distinct values stay unresolved.  By the
+    number of agreeing candidate pairs: 1 (2-1-1), 3 (3-1) and 6 (4-0)
+    leave one majority, 0 and 2 (2-2) do not, and 4 and 5 cannot occur.
+    An entry on passing edges only votes 4-of-4 for itself, so clean
+    syndromes vote (0, 0).  Returns (delta, unresolved): the lane int
+    XOR delta is the voted table, and unresolved has bit 7 set where a
+    vote cannot decide.
     """
-    sv, sh = _syndromes(lanes, v, h)
-    delta = _one_entry(sv, sh)
-    if delta or not sv | sh:
-        return delta, 0
-    return _lane_vote(sv, sh)
-
-
-def _lane_vote(sv: int, sh: int) -> tuple[int, int]:
-    """_vote's (delta, unresolved) from the pairwise comparisons."""
+    if not sv | sh:
+        return 0, 0
     s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
     # eij: candidates i and j agree.
     e01 = _zero_lanes(s0 ^ s1)
@@ -223,11 +219,11 @@ def correct(
     when the walk passes, a vote changes nothing, or the round budget is
     spent.  Writes within a round are simultaneous (every vote reads the
     same snapshot), so entry order never matters and rounds_used is well
-    defined.  A lone faulty entry is round 1 in closed form: correct
-    writes it, walks the result once and returns, converged or not, as
-    that write clears every syndrome and a round 2 would vote no change.
-    Otherwise each written table is voted once, for the next round or,
-    in the last, for the unresolved entries.
+    defined.  A lone faulty entry is round 1 in closed form (_one_entry):
+    correct writes it, walks the result once and returns, converged or
+    not, as that write clears every syndrome and a round 2 would vote no
+    change.  Any other table, and then each written one, is voted once by
+    _vote, for the next round or, in the last, for the unresolved entries.
     """
     v, h = tables.v, tables.h
     lanes = to_lanes(table.entries)
@@ -242,7 +238,7 @@ def correct(
         return working, CorrectionReport(
             False, min(2, cfg.max_correction_rounds), changed)
     working, changed_entries, converged = table, [], False
-    delta, unresolved = _lane_vote(sv, sh)
+    delta, unresolved = _vote(sv, sh)
     for rounds_used in range(1, cfg.max_correction_rounds + 1):
         if not delta:
             break  # the entries stand as the last walk rejected them
@@ -251,7 +247,7 @@ def correct(
         working = _table_of_lanes(lanes)
         changed_entries += [(x, old[x], working.entries[x])
                             for x in _lanes_of(delta)]
-        delta, unresolved = _vote(lanes, v, h)
+        delta, unresolved = _vote(*_syndromes(lanes, v, h))
         converged = not detect(working, pair)
         if converged:
             break
@@ -263,10 +259,12 @@ def correct(
 def precorrect_table(table: SBoxTable, tables: RedundantTables) -> SBoxTable:
     """All 256 voted lookups as an effective table (one vote sweep).
 
-    The always-on variant of repair: every table read is replaced by its
+    The paper's always-on repair replaces every table read by its
     neighbour vote, so a single fault is masked from the very first
-    encryption, at four lookups and three XORs per table read.  An
-    unresolved vote keeps the stored entry.
+    encryption, at four lookups and three XORs per read; pfalab's
+    dc_precorrect votes once per trial and encrypts the trial with the
+    result.  One _vote: an unresolved vote keeps the stored entry.
     """
     lanes = to_lanes(table.entries)
-    return _table_of_lanes(lanes ^ _vote(lanes, tables.v, tables.h)[0])
+    delta, _ = _vote(*_syndromes(lanes, tables.v, tables.h))
+    return _table_of_lanes(lanes ^ delta)

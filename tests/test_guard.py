@@ -152,45 +152,11 @@ def test_reconstruction_identity_on_pristine(tables):
         parity = build_redundant_tables(pristine)
         lanes = to_lanes(pristine.entries)
         assert _syndromes(lanes, parity.v, parity.h) == (0, 0)
-        assert _vote(lanes, parity.v, parity.h) == (0, 0)
+        assert _vote(0, 0) == (0, 0)
         assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
         assert planted == AES_SBOX
-
-
-# The general lane vote as it stood before the one-entry closed form,
-# with its own lane helpers: every pattern runs the pairwise comparisons.
-_REF_HIGH = int.from_bytes(b"\x80" * 256, "little")
-_REF_LOW7 = int.from_bytes(b"\x7f" * 256, "little")
-
-
-def _ref_zero_lanes(lanes):
-    return _REF_HIGH & ~(((lanes & _REF_LOW7) + _REF_LOW7) | lanes)
-
-
-def _ref_widen(high):
-    return (high >> 7) * 0xFF
-
-
-def _reference_vote(lanes, v, h):
-    sv = lanes ^ lanes_down(lanes) ^ v
-    sh = lanes ^ lanes_right(lanes) ^ h
-    if not sv | sh:
-        return 0, 0
-    s0, s1, s2, s3 = lanes_up(sv), sv, lanes_left(sh), sh
-    e01 = _ref_zero_lanes(s0 ^ s1)
-    e02 = _ref_zero_lanes(s0 ^ s2)
-    e03 = _ref_zero_lanes(s0 ^ s3)
-    e12 = _ref_zero_lanes(s1 ^ s2)
-    e13 = _ref_zero_lanes(s1 ^ s3)
-    e23 = _ref_zero_lanes(s2 ^ s3)
-    resolved = (e01 ^ e02 ^ e03 ^ e12 ^ e13 ^ e23) | (e01 & e02 & e03)
-    pick0 = e01 | e02 | e03
-    pick1 = _ref_widen((e12 | e13) & ~pick0)
-    pick0 = _ref_widen(pick0)
-    winner = (s0 & pick0) | (s1 & pick1) | (s2 & ~(pick0 | pick1))
-    return winner & _ref_widen(resolved), _REF_HIGH & ~resolved
 
 
 _S5A = SBoxTable(bytes(b ^ 0x5A for b in AES_SBOX.entries))
@@ -204,36 +170,42 @@ def _lane_tables():
         yield to_lanes(table.entries), parity.v, parity.h
 
 
-def _assert_votes_agree(lanes, v, h):
-    """The vote equals the pairwise vote, and where the syndromes are
-    one entry's signature it is the closed form's write, which leaves no
-    syndrome.  Returns the vote and whether the closed form applied."""
-    got = _vote(lanes, v, h)
-    assert got == _reference_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
-    closed = _one_entry(*_syndromes(lanes, v, h))
+def _seeded_sample(seed, population, k):
+    """k distinct case numbers below population, drawn from Rng(seed)."""
+    return set(Rng(seed).sample_distinct(population, k))
+
+
+def _assert_votes_agree(lanes, v, h, dense=False):
+    """_vote of the syndromes, checked against the dense oracle when dense
+    is set; _one_entry may fire only where it is that vote's write, which
+    leaves no syndrome.  Returns the vote and _one_entry's write."""
+    sv, sh = _syndromes(lanes, v, h)
+    got = _vote(sv, sh)
+    if dense:
+        assert got == _dense_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
+    closed = _one_entry(sv, sh)
     if closed:
         assert got == (closed, 0), (hex(lanes ^ v), hex(h))
         assert _syndromes(lanes ^ closed, v, h) == (0, 0), \
             (hex(lanes ^ v), hex(h))
-    return got + (bool(closed),)
+    return got, closed
 
 
 def _no_lane_vote(lanes):
-    raise AssertionError("a one-entry pattern reached the lane vote")
+    raise AssertionError("a one-entry repair reached the pairwise vote")
 
 
-def test_one_entry_vote_is_closed_form(monkeypatch):
-    # Every (x, e) single fault on both tables: the vote equals the
-    # pairwise vote, writes e into lane x alone in closed form, a
-    # clearing write (the table it leaves fails no edge), and never
-    # reaches the pairwise comparisons (the first of which needs
-    # lanes_up).
-    monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
-    for lanes, v, h in _lane_tables():
-        for x in range(256):
-            for e in range(1, 256):
-                assert _assert_votes_agree(lanes ^ e << 8 * x, v, h) == \
-                    (e << 8 * x, 0, True)
+def test_one_entry_vote_is_closed_form():
+    # Every (x, e) single fault on both tables: _one_entry writes e into
+    # lane x alone, which is _vote's delta with nothing unresolved and
+    # leaves no syndrome.  A seeded sample also meets the dense oracle.
+    dense = _seeded_sample(23, 2 * 256 * 255, 128)
+    cases = ((lanes ^ e << 8 * x, v, h, e << 8 * x)
+             for lanes, v, h in _lane_tables()
+             for x in range(256) for e in range(1, 256))
+    for i, (faulted, v, h, write) in enumerate(cases):
+        assert _assert_votes_agree(faulted, v, h, i in dense) == \
+            ((write, 0), write)
 
 
 def _lane_errors(max_size):
@@ -271,21 +243,24 @@ def _lone_entry_with_a_perturbed_half(draw):
            st.tuples(_ENTRY_ERRORS, _PARITY_ERRORS, _PARITY_ERRORS),
            _lone_entry_with_a_perturbed_half()))
 def test_a_clearing_write_leaves_no_syndrome(table, pattern):
-    # Any table, entry errors and parity faults: whenever the syndromes
-    # are none or one entry's signature, the vote is the closed form's
-    # write, the written table fails no edge, and a vote of it is (0, 0).
+    # Any table, entry errors and parity faults: the vote is the dense
+    # oracle's, and whenever the syndromes are none or one entry's
+    # signature, it is the closed form's write, the written table fails
+    # no edge, and a vote of it is (0, 0).
     errors, v_errors, h_errors = pattern
     parity = build_redundant_tables(SBoxTable(table))
     lanes = to_lanes(table) ^ errors
     v, h = parity.v ^ v_errors, parity.h ^ h_errors
     sv, sh = _syndromes(lanes, v, h)
     delta = _one_entry(sv, sh)
+    vote = _vote(sv, sh)
+    assert vote == _dense_vote(lanes, v, h)
     if delta or not sv | sh:
-        assert _vote(lanes, v, h) == (delta, 0)
+        assert vote == (delta, 0)
         written = lanes ^ delta
         assert written ^ lanes_down(written) == v
         assert written ^ lanes_right(written) == h
-        assert _vote(written, v, h) == (0, 0)
+        assert _vote(*_syndromes(written, v, h)) == (0, 0)
 
 
 def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
@@ -293,7 +268,6 @@ def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
     fixed, report = correct(faulted, tables, pair)
     assert (fixed, report.converged) == (AES_SBOX, True)
-    assert precorrect_table(faulted, tables) == AES_SBOX
 
 
 def test_two_entries_with_one_error_match_the_lane_vote():
@@ -302,42 +276,58 @@ def test_two_entries_with_one_error_match_the_lane_vote():
     # signature, and the general vote decides.
     offsets = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
                if 0 < abs(dr) + abs(dc) <= 2]
-    for lanes, v, h in _lane_tables():
-        for x in range(256):
-            r, c = divmod(x, 16)
-            for dr, dc in offsets:
-                y = _torus(r + dr, c + dc)
-                for e in (0x01, 0x5A, 0xFF):
-                    _assert_votes_agree(
-                        lanes ^ e << 8 * x ^ e << 8 * y, v, h)
+
+    def cases():
+        for lanes, v, h in _lane_tables():
+            for x in range(256):
+                r, c = divmod(x, 16)
+                for dr, dc in offsets:
+                    y = _torus(r + dr, c + dc)
+                    for e in (0x01, 0x5A, 0xFF):
+                        yield lanes ^ e << 8 * x ^ e << 8 * y, v, h
+
+    dense = _seeded_sample(24, 2 * 256 * 12 * 3, 128)
+    for i, case in enumerate(cases()):
+        _assert_votes_agree(*case, i in dense)
 
 
 def test_one_entry_signature_with_an_extra_failing_edge():
     # Entry x faulted by e, plus one more failing edge anywhere, with
     # the same syndrome e or another one (a faulted parity entry).
     x = 0x42
-    for lanes, v, h in _lane_tables():
-        faulted = lanes ^ 0x37 << 8 * x
-        for y in range(256):
-            for f in (0x37, 0x01, 0xC8):
-                _assert_votes_agree(faulted, v ^ f << 8 * y, h)
-                _assert_votes_agree(faulted, v, h ^ f << 8 * y)
+
+    def cases():
+        for lanes, v, h in _lane_tables():
+            faulted = lanes ^ 0x37 << 8 * x
+            for y in range(256):
+                for f in (0x37, 0x01, 0xC8):
+                    yield faulted, v ^ f << 8 * y, h
+                    yield faulted, v, h ^ f << 8 * y
+
+    dense = _seeded_sample(25, 2 * 256 * 3 * 2, 64)
+    for i, case in enumerate(cases()):
+        _assert_votes_agree(*case, i in dense)
 
 
 def test_one_axis_signatures_match_the_lane_vote():
     # Only the vertical, or only the horizontal, half of the signature:
     # the entry's two edges on the other axis pass.
-    for lanes, v, h in _lane_tables():
-        for x in range(256):
-            for e in (0x01, 0x5A, 0xFF):
-                sv = e << 8 * x | e << 8 * up(x)
-                sh = e << 8 * x | e << 8 * left(x)
-                # Faulted parity alone, or an entry fault the other
-                # axis's parity cancels.
-                _assert_votes_agree(lanes, v ^ sv, h)
-                _assert_votes_agree(lanes, v, h ^ sh)
-                _assert_votes_agree(lanes ^ e << 8 * x, v, h ^ sh)
-                _assert_votes_agree(lanes ^ e << 8 * x, v ^ sv, h)
+    def cases():
+        for lanes, v, h in _lane_tables():
+            for x in range(256):
+                for e in (0x01, 0x5A, 0xFF):
+                    sv = e << 8 * x | e << 8 * up(x)
+                    sh = e << 8 * x | e << 8 * left(x)
+                    # Faulted parity alone, or an entry fault the other
+                    # axis's parity cancels.
+                    yield lanes, v ^ sv, h
+                    yield lanes, v, h ^ sh
+                    yield lanes ^ e << 8 * x, v, h ^ sh
+                    yield lanes ^ e << 8 * x, v ^ sv, h
+
+    dense = _seeded_sample(26, 2 * 256 * 3 * 4, 64)
+    for i, case in enumerate(cases()):
+        _assert_votes_agree(*case, i in dense)
 
 
 def test_correct_single_fault_one_round(pair, tables):
@@ -546,6 +536,16 @@ def _dense_sweep(entries, h, v):
     winner = np.take_along_axis(cand, counts.argmax(axis=0)[None, :], axis=0)[0]
     new = np.where(resolved, winner, entries)
     return new, resolved & (new != entries), ~resolved
+
+
+def _dense_vote(lanes, v, h):
+    """_vote's (delta, unresolved) for the lane ints lanes, v and h, from
+    _dense_sweep."""
+    entries, v, h = (np.frombuffer(from_lanes(t), dtype=np.uint8)
+                     for t in (lanes, v, h))
+    new, _, unresolved = _dense_sweep(entries, h, v)
+    return (to_lanes((entries ^ new).tobytes()),
+            to_lanes((unresolved.astype(np.uint8) << 7).tobytes()))
 
 
 def _oracle_correct(table, tables, pair, cfg):
