@@ -86,7 +86,7 @@ class Collector:
 
 
 def run_entry_points(tmp: Path) -> list[str]:
-    failed = entry_points.run(tmp)
+    failed, _ = entry_points.run(tmp)
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 

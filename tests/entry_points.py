@@ -8,8 +8,12 @@ COMMANDS is the one list of the commands that CI runs and that
 tests/audit_lines.py counts as entry points; a new command goes into it.
 Each runs through cli.main in this process, in a temporary directory
 that also holds the streams the attack commands read.  The script prints
-each failed check with its command and exits 1 if there is any.  pfalab
-is imported inside run(), after the audit has started its collector.
+each failed check with its command and exits 1 if there is any.  Its
+last line is one SHA-256 over every command's exit code, stdout and
+stderr and every file in the temporary directory, with the directory's
+path written as {tmp}, so that two checkouts' outputs compare in one
+line.  pfalab is imported inside run(), after the audit has started its
+collector.
 """
 
 from __future__ import annotations
@@ -230,15 +234,17 @@ def call_main(argv: list[str], address_limit: int | None) -> dict:
             "stderr": stderr.getvalue()}
 
 
-def run(tmp: Path) -> list[str]:
+def run(tmp: Path) -> tuple[list[str], str]:
     """Run COMMANDS in order in tmp; return each failed check as
-    "pfalab ARGV: what went wrong"."""
+    "pfalab ARGV: what went wrong", and the digest of every output."""
     k10 = write_inputs(tmp)
-    failed = []
+    failed, digest = [], hashlib.sha256()
     for command in COMMANDS:
         argv = [word.format(tmp=tmp, k10=k10)
                 for word in command.argv.split()]
         outputs = call_main(argv, command.address_limit)
+        digest.update(repr((command.argv, outputs)).replace(
+            str(tmp), "{tmp}").encode())
 
         def read(name):
             return outputs[name] if name in outputs else \
@@ -256,15 +262,21 @@ def run(tmp: Path) -> list[str]:
             stderr = outputs["stderr"].strip()
             failed.append(f"pfalab {' '.join(argv)}: {problem}"
                           + (f"; stderr {stderr!r:.200}" if stderr else ""))
-    return failed
+    for path in sorted(tmp.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes().replace(bytes(tmp), b"{tmp}")
+            digest.update(f"{path.relative_to(tmp)}\0{len(data)}\0".encode())
+            digest.update(data)
+    return failed, digest.hexdigest()
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        failed = run(Path(tmp))
+        failed, digest = run(Path(tmp))
     print("\n".join(failed) if failed else
           f"{len(COMMANDS)} commands: every check passed")
+    print(f"sha256 of every output: {digest}")
     return 1 if failed else 0
 
 

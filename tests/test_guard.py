@@ -171,14 +171,14 @@ def _lane_tables():
 
 
 def _seeded_sample(seed, population, k):
-    """k distinct case numbers below population, drawn from Rng(seed)."""
+    """k distinct numbers below population, drawn from Rng(seed)."""
     return set(Rng(seed).sample_distinct(population, k))
 
 
-def _assert_votes_agree(lanes, v, h, dense=False):
+def _assert_votes_agree(lanes, v, h, dense):
     """_vote of the syndromes, checked against the dense oracle when dense
     is set; _one_entry may fire only where it is that vote's write, which
-    leaves no syndrome.  Returns the vote and _one_entry's write."""
+    leaves no syndrome."""
     sv, sh = _syndromes(lanes, v, h)
     got = _vote(sv, sh)
     if dense:
@@ -188,7 +188,6 @@ def _assert_votes_agree(lanes, v, h, dense=False):
         assert got == (closed, 0), (hex(lanes ^ v), hex(h))
         assert _syndromes(lanes ^ closed, v, h) == (0, 0), \
             (hex(lanes ^ v), hex(h))
-    return got, closed
 
 
 def _no_lane_vote(lanes):
@@ -197,15 +196,20 @@ def _no_lane_vote(lanes):
 
 def test_one_entry_vote_is_closed_form():
     # Every (x, e) single fault on both tables: _one_entry writes e into
-    # lane x alone, which is _vote's delta with nothing unresolved and
-    # leaves no syndrome.  A seeded sample also meets the dense oracle.
-    dense = _seeded_sample(23, 2 * 256 * 255, 128)
-    cases = ((lanes ^ e << 8 * x, v, h, e << 8 * x)
-             for lanes, v, h in _lane_tables()
-             for x in range(256) for e in range(1, 256))
-    for i, (faulted, v, h, write) in enumerate(cases):
-        assert _assert_votes_agree(faulted, v, h, i in dense) == \
-            ((write, 0), write)
+    # lane x alone, which is _vote's delta with nothing unresolved, and
+    # the written table, the pristine one, has no syndrome.  A seeded
+    # sample also meets the dense oracle.
+    dense = _seeded_sample(23, 256 * 255, 64)  # as 255x + e - 1
+    for lanes, v, h in _lane_tables():
+        assert _syndromes(lanes, v, h) == (0, 0)
+        for x in range(256):
+            for e in range(1, 256):
+                write = e << 8 * x
+                if 255 * x + e - 1 in dense:
+                    assert _dense_vote(lanes ^ write, v, h) == (write, 0)
+                sv, sh = _syndromes(lanes ^ write, v, h)
+                assert _one_entry(sv, sh) == write, (x, e)
+                assert _vote(sv, sh) == (write, 0), (x, e)
 
 
 def _lane_errors(max_size):
@@ -263,6 +267,40 @@ def test_a_clearing_write_leaves_no_syndrome(table, pattern):
         assert _vote(*_syndromes(written, v, h)) == (0, 0)
 
 
+def _pristine_with_parity():
+    """(lanes, parity) of the AES S-box, the identity table and a seeded
+    permutation, each with its own parity tables."""
+    entries = list(range(256))
+    shuffle(Rng(27), entries)
+    for table in (AES_SBOX, SBoxTable(bytes(range(256))), SBoxTable(entries)):
+        yield to_lanes(table.entries), build_redundant_tables(table)
+
+
+_PRISTINE_WITH_PARITY = tuple(_pristine_with_parity())
+
+
+def _precorrected_error(lanes, parity, errors):
+    """precorrect_table(S xor E) xor S, as a lane int, for S's lanes."""
+    faulted = SBoxTable(from_lanes(lanes ^ errors))
+    return to_lanes(precorrect_table(faulted, parity).entries) ^ lanes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(errors=st.one_of(_lane_errors(2), _lane_errors(8), _lane_errors(24)))
+def test_precorrect_acts_on_the_error_pattern_alone(errors):
+    # The parity tables hold S's edges, so every syndrome of S xor E is E's
+    # own: the voted error is one function of E, whatever the table, and
+    # it moves with E on the torus.
+    voted = {_precorrected_error(lanes, parity, errors)
+             for lanes, parity in _PRISTINE_WITH_PARITY}
+    assert len(voted) == 1
+    voted = voted.pop()
+    for move in (lanes_up, lanes_left):
+        for lanes, parity in _PRISTINE_WITH_PARITY:
+            assert _precorrected_error(lanes, parity, move(errors)) == \
+                move(voted), move.__name__
+
+
 def test_one_entry_repair_skips_the_lane_vote(monkeypatch, pair, tables):
     monkeypatch.setattr(guard, "lanes_up", _no_lane_vote)
     faulted = inject(AES_SBOX, FaultSpec(((0x42, 0x00),)))
@@ -276,58 +314,46 @@ def test_two_entries_with_one_error_match_the_lane_vote():
     # signature, and the general vote decides.
     offsets = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
                if 0 < abs(dr) + abs(dc) <= 2]
-
-    def cases():
-        for lanes, v, h in _lane_tables():
-            for x in range(256):
-                r, c = divmod(x, 16)
-                for dr, dc in offsets:
-                    y = _torus(r + dr, c + dc)
-                    for e in (0x01, 0x5A, 0xFF):
-                        yield lanes ^ e << 8 * x ^ e << 8 * y, v, h
-
-    dense = _seeded_sample(24, 2 * 256 * 12 * 3, 128)
-    for i, case in enumerate(cases()):
-        _assert_votes_agree(*case, i in dense)
+    dense = _seeded_sample(24, 256, 4)  # cells also run the dense oracle
+    for lanes, v, h in _lane_tables():
+        for x in range(256):
+            r, c = divmod(x, 16)
+            for dr, dc in offsets:
+                y = _torus(r + dr, c + dc)
+                for e in (0x01, 0x5A, 0xFF):
+                    _assert_votes_agree(
+                        lanes ^ e << 8 * x ^ e << 8 * y, v, h, x in dense)
 
 
 def test_one_entry_signature_with_an_extra_failing_edge():
     # Entry x faulted by e, plus one more failing edge anywhere, with
     # the same syndrome e or another one (a faulted parity entry).
     x = 0x42
-
-    def cases():
-        for lanes, v, h in _lane_tables():
-            faulted = lanes ^ 0x37 << 8 * x
-            for y in range(256):
-                for f in (0x37, 0x01, 0xC8):
-                    yield faulted, v ^ f << 8 * y, h
-                    yield faulted, v, h ^ f << 8 * y
-
-    dense = _seeded_sample(25, 2 * 256 * 3 * 2, 64)
-    for i, case in enumerate(cases()):
-        _assert_votes_agree(*case, i in dense)
+    dense = _seeded_sample(25, 256, 8)  # edges also run the dense oracle
+    for lanes, v, h in _lane_tables():
+        faulted = lanes ^ 0x37 << 8 * x
+        for y in range(256):
+            for f in (0x37, 0x01, 0xC8):
+                _assert_votes_agree(faulted, v ^ f << 8 * y, h, y in dense)
+                _assert_votes_agree(faulted, v, h ^ f << 8 * y, y in dense)
 
 
 def test_one_axis_signatures_match_the_lane_vote():
     # Only the vertical, or only the horizontal, half of the signature:
     # the entry's two edges on the other axis pass.
-    def cases():
-        for lanes, v, h in _lane_tables():
-            for x in range(256):
-                for e in (0x01, 0x5A, 0xFF):
-                    sv = e << 8 * x | e << 8 * up(x)
-                    sh = e << 8 * x | e << 8 * left(x)
-                    # Faulted parity alone, or an entry fault the other
-                    # axis's parity cancels.
-                    yield lanes, v ^ sv, h
-                    yield lanes, v, h ^ sh
-                    yield lanes ^ e << 8 * x, v, h ^ sh
-                    yield lanes ^ e << 8 * x, v ^ sv, h
-
-    dense = _seeded_sample(26, 2 * 256 * 3 * 4, 64)
-    for i, case in enumerate(cases()):
-        _assert_votes_agree(*case, i in dense)
+    dense = _seeded_sample(26, 256, 4)  # cells also run the dense oracle
+    for lanes, v, h in _lane_tables():
+        for x in range(256):
+            d = x in dense
+            for e in (0x01, 0x5A, 0xFF):
+                sv = e << 8 * x | e << 8 * up(x)
+                sh = e << 8 * x | e << 8 * left(x)
+                # Faulted parity alone, or an entry fault the other
+                # axis's parity cancels.
+                _assert_votes_agree(lanes, v ^ sv, h, d)
+                _assert_votes_agree(lanes, v, h ^ sh, d)
+                _assert_votes_agree(lanes ^ e << 8 * x, v, h ^ sh, d)
+                _assert_votes_agree(lanes ^ e << 8 * x, v ^ sv, h, d)
 
 
 def test_correct_single_fault_one_round(pair, tables):
