@@ -175,19 +175,22 @@ def _seeded_sample(seed, population, k):
     return set(Rng(seed).sample_distinct(population, k))
 
 
-def _assert_votes_agree(lanes, v, h, dense):
-    """_vote of the syndromes, checked against the dense oracle when dense
-    is set; _one_entry may fire only where it is that vote's write, which
-    leaves no syndrome."""
-    sv, sh = _syndromes(lanes, v, h)
-    got = _vote(sv, sh)
-    if dense:
-        assert got == _dense_vote(lanes, v, h), (hex(lanes ^ v), hex(h))
-    closed = _one_entry(sv, sh)
-    if closed:
-        assert got == (closed, 0), (hex(lanes ^ v), hex(h))
-        assert _syndromes(lanes ^ closed, v, h) == (0, 0), \
-            (hex(lanes ^ v), hex(h))
+def _assert_votes_agree(cases, dense):
+    """For each (lanes, v, h) case, _one_entry may fire only where it is
+    _vote's write, which leaves no syndrome; the cases numbered in dense
+    also meet the dense oracle, voted in one batch."""
+    dense = sorted(dense)
+    oracle = dict(zip(dense, _dense_votes([cases[i] for i in dense])))
+    for i, (lanes, v, h) in enumerate(cases):
+        sv, sh = _syndromes(lanes, v, h)
+        got = _vote(sv, sh)
+        if i in oracle:
+            assert got == oracle[i], (hex(lanes ^ v), hex(h))
+        closed = _one_entry(sv, sh)
+        if closed:
+            assert got == (closed, 0), (hex(lanes ^ v), hex(h))
+            assert _syndromes(lanes ^ closed, v, h) == (0, 0), \
+                (hex(lanes ^ v), hex(h))
 
 
 def _no_lane_vote(lanes):
@@ -199,14 +202,15 @@ def test_one_entry_vote_is_closed_form():
     # lane x alone, which is _vote's delta with nothing unresolved, and
     # the written table, the pristine one, has no syndrome.  A seeded
     # sample also meets the dense oracle.
-    dense = _seeded_sample(23, 256 * 255, 64)  # as 255x + e - 1
     for lanes, v, h in _lane_tables():
         assert _syndromes(lanes, v, h) == (0, 0)
+        writes = [e << 8 * x for x in range(256) for e in range(1, 256)]
+        sample = [writes[i] for i in _seeded_sample(23, len(writes), 256)]
+        assert _dense_votes([(lanes ^ write, v, h) for write in sample]) \
+            == [(write, 0) for write in sample]
         for x in range(256):
             for e in range(1, 256):
                 write = e << 8 * x
-                if 255 * x + e - 1 in dense:
-                    assert _dense_vote(lanes ^ write, v, h) == (write, 0)
                 sv, sh = _syndromes(lanes ^ write, v, h)
                 assert _one_entry(sv, sh) == write, (x, e)
                 assert _vote(sv, sh) == (write, 0), (x, e)
@@ -258,7 +262,7 @@ def test_a_clearing_write_leaves_no_syndrome(table, pattern):
     sv, sh = _syndromes(lanes, v, h)
     delta = _one_entry(sv, sh)
     vote = _vote(sv, sh)
-    assert vote == _dense_vote(lanes, v, h)
+    assert [vote] == _dense_votes([(lanes, v, h)])
     if delta or not sv | sh:
         assert vote == (delta, 0)
         written = lanes ^ delta
@@ -314,46 +318,39 @@ def test_two_entries_with_one_error_match_the_lane_vote():
     # signature, and the general vote decides.
     offsets = [(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
                if 0 < abs(dr) + abs(dc) <= 2]
-    dense = _seeded_sample(24, 256, 4)  # cells also run the dense oracle
-    for lanes, v, h in _lane_tables():
-        for x in range(256):
-            r, c = divmod(x, 16)
-            for dr, dc in offsets:
-                y = _torus(r + dr, c + dc)
-                for e in (0x01, 0x5A, 0xFF):
-                    _assert_votes_agree(
-                        lanes ^ e << 8 * x ^ e << 8 * y, v, h, x in dense)
+    cases = [(lanes ^ e << 8 * x ^ e << 8 * _torus(x // 16 + dr,
+                                                   x % 16 + dc), v, h)
+             for lanes, v, h in _lane_tables() for x in range(256)
+             for dr, dc in offsets for e in (0x01, 0x5A, 0xFF)]
+    _assert_votes_agree(cases, _seeded_sample(24, len(cases), 2048))
 
 
 def test_one_entry_signature_with_an_extra_failing_edge():
     # Entry x faulted by e, plus one more failing edge anywhere, with
     # the same syndrome e or another one (a faulted parity entry).
     x = 0x42
-    dense = _seeded_sample(25, 256, 8)  # edges also run the dense oracle
-    for lanes, v, h in _lane_tables():
-        faulted = lanes ^ 0x37 << 8 * x
-        for y in range(256):
-            for f in (0x37, 0x01, 0xC8):
-                _assert_votes_agree(faulted, v ^ f << 8 * y, h, y in dense)
-                _assert_votes_agree(faulted, v, h ^ f << 8 * y, y in dense)
+    cases = [case for lanes, v, h in _lane_tables()
+             for y in range(256) for f in (0x37, 0x01, 0xC8)
+             for case in ((lanes ^ 0x37 << 8 * x, v ^ f << 8 * y, h),
+                          (lanes ^ 0x37 << 8 * x, v, h ^ f << 8 * y))]
+    _assert_votes_agree(cases, range(len(cases)))
 
 
 def test_one_axis_signatures_match_the_lane_vote():
     # Only the vertical, or only the horizontal, half of the signature:
     # the entry's two edges on the other axis pass.
-    dense = _seeded_sample(26, 256, 4)  # cells also run the dense oracle
+    cases = []
     for lanes, v, h in _lane_tables():
         for x in range(256):
-            d = x in dense
             for e in (0x01, 0x5A, 0xFF):
                 sv = e << 8 * x | e << 8 * up(x)
                 sh = e << 8 * x | e << 8 * left(x)
                 # Faulted parity alone, or an entry fault the other
                 # axis's parity cancels.
-                _assert_votes_agree(lanes, v ^ sv, h, d)
-                _assert_votes_agree(lanes, v, h ^ sh, d)
-                _assert_votes_agree(lanes ^ e << 8 * x, v, h ^ sh, d)
-                _assert_votes_agree(lanes ^ e << 8 * x, v ^ sv, h, d)
+                cases += [(lanes, v ^ sv, h), (lanes, v, h ^ sh),
+                          (lanes ^ e << 8 * x, v, h ^ sh),
+                          (lanes ^ e << 8 * x, v ^ sv, h)]
+    _assert_votes_agree(cases, range(len(cases)))
 
 
 def test_correct_single_fault_one_round(pair, tables):
@@ -545,13 +542,15 @@ def _parity_arrays(tables):
 
 
 def _dense_sweep(entries, h, v):
+    """One sweep of a table's entries, or of a stack of tables, each row
+    with its own parity rows."""
     cand = np.stack((
-        entries[_UP] ^ v[_UP],
-        entries[_DOWN] ^ v,
-        entries[_LEFT] ^ h[_LEFT],
-        entries[_RIGHT] ^ h,
+        entries[..., _UP] ^ v[..., _UP],
+        entries[..., _DOWN] ^ v,
+        entries[..., _LEFT] ^ h[..., _LEFT],
+        entries[..., _RIGHT] ^ h,
     ))
-    counts = np.ones((4, 256), dtype=np.int8)
+    counts = np.ones(cand.shape, dtype=np.int8)
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -564,14 +563,16 @@ def _dense_sweep(entries, h, v):
     return new, resolved & (new != entries), ~resolved
 
 
-def _dense_vote(lanes, v, h):
-    """_vote's (delta, unresolved) for the lane ints lanes, v and h, from
-    _dense_sweep."""
-    entries, v, h = (np.frombuffer(from_lanes(t), dtype=np.uint8)
-                     for t in (lanes, v, h))
+def _dense_votes(cases):
+    """_vote's (delta, unresolved) for each (lanes, v, h) case of lane
+    ints, from one _dense_sweep over them all."""
+    entries, v, h = (np.frombuffer(b"".join(map(from_lanes, ints)),
+                                   dtype=np.uint8).reshape(-1, 256)
+                     for ints in zip(*cases))
     new, _, unresolved = _dense_sweep(entries, h, v)
-    return (to_lanes((entries ^ new).tobytes()),
-            to_lanes((unresolved.astype(np.uint8) << 7).tobytes()))
+    return [(to_lanes(delta.tobytes()), to_lanes(high.tobytes()))
+            for delta, high in zip(entries ^ new,
+                                   unresolved.astype(np.uint8) << 7)]
 
 
 def _oracle_correct(table, tables, pair, cfg):
