@@ -56,8 +56,8 @@ def _affine(b: int) -> int:
 
 SBOX = bytes(_affine(_inverse(a)) for a in range(256))
 INV_SBOX = bytes(SBOX.index(y) for y in range(256))
-# The products by the constants of MixColumns (section 5.1.3) and
-# InvMixColumns (section 5.3.3), one table per constant.
+# The products by the constants of MixColumns and InvMixColumns, one
+# table per constant.
 _TIMES = {k: bytes(multiply(k, b) for b in range(256))
           for k in (0x01, 0x02, 0x03, 0x09, 0x0B, 0x0D, 0x0E)}
 
@@ -101,16 +101,22 @@ def _shift_rows(state, direction: int) -> None:
         row[:] = [row[(c + direction * r) % NB] for c in range(NB)]
 
 
-def _mix(state, coefficients) -> None:
-    """Each column times the circulant matrix whose first row is
-    coefficients."""
+def _mix(state, matrix) -> None:
+    """Each column times matrix, a 4x4 matrix of product tables."""
     for c in range(NB):
-        column = [state[r][c] for r in range(4)]
-        for r in range(4):
-            value = 0
-            for i in range(4):
-                value ^= _TIMES[coefficients[(i - r) % 4]][column[i]]
-            state[r][c] = value
+        a0, a1, a2, a3 = (state[r][c] for r in range(4))
+        for r, (t0, t1, t2, t3) in enumerate(matrix):
+            state[r][c] = t0[a0] ^ t1[a1] ^ t2[a2] ^ t3[a3]
+
+
+def _circulant(first_row) -> list:
+    """The circulant matrix with first_row, as product tables."""
+    return [[_TIMES[first_row[(i - r) % 4]] for i in range(4)]
+            for r in range(4)]
+
+
+_MIX_COLUMNS = _circulant((0x02, 0x03, 0x01, 0x01))  # section 5.1.3
+_INV_MIX_COLUMNS = _circulant((0x0E, 0x0B, 0x0D, 0x09))  # section 5.3.3
 
 
 def cipher(block: bytes, round_keys: list[bytes], table: bytes,
@@ -123,7 +129,7 @@ def cipher(block: bytes, round_keys: list[bytes], table: bytes,
         if shift_rows:
             _shift_rows(state, 1)
         if rnd < NR:
-            _mix(state, (0x02, 0x03, 0x01, 0x01))
+            _mix(state, _MIX_COLUMNS)
         _add_round_key(state, round_keys[rnd])
     return _output(state)
 
@@ -139,5 +145,5 @@ def inv_cipher(block: bytes, round_keys: list[bytes], inv_table: bytes,
         _sub_bytes(state, inv_table)
         _add_round_key(state, round_keys[rnd])
         if rnd > 0:
-            _mix(state, (0x0E, 0x0B, 0x0D, 0x09))
+            _mix(state, _INV_MIX_COLUMNS)
     return _output(state)
