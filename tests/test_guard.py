@@ -152,7 +152,7 @@ def test_reconstruction_identity_on_pristine(tables):
         parity = build_redundant_tables(pristine)
         lanes = to_lanes(pristine.entries)
         assert _syndromes(lanes, parity.v, parity.h) == (0, 0)
-        assert _vote(0, 0) == (0, 0)
+        assert _vote(*_syndromes(lanes, parity.v, parity.h)) == (0, 0)
         assert precorrect_table(pristine, parity) == pristine
     for x in (0x00, 0x42, 0xFF):
         planted = _plant_candidates(tables, x, (AES_SBOX[x],) * 4, AES_SBOX[x])
